@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet asm-vet vet-deprecated test race race-purego bench bench-json benchdiff verify
+.PHONY: all build fmt vet asm-vet vet-deprecated test race race-purego bench-module bench bench-json benchdiff verify
 
 all: verify
 
@@ -34,19 +34,27 @@ test:
 	$(GO) test ./...
 
 # The packages with lock-free/pooled/concurrent state get a race pass; the
-# full tree under -race is slow on small CI boxes. cmd/adarnet-serve rides
-# along for the HTTP-boundary and fault-injection tests.
+# full tree under -race blows the per-package test timeout on 1-core CI
+# boxes. cmd/adarnet-serve rides along for the HTTP-boundary and
+# fault-injection tests.
+RACE_PKGS = ./internal/obs ./internal/tensor ./internal/autodiff ./internal/nn ./internal/interp ./internal/serve/... ./internal/core/... ./internal/jobs ./cmd/adarnet-serve
+
 race:
-	$(GO) test -race ./internal/obs ./internal/tensor ./internal/autodiff ./internal/nn ./internal/interp ./internal/serve/... ./internal/core/... ./internal/jobs ./cmd/adarnet-serve
+	$(GO) test -race $(RACE_PKGS)
 
 # The scalar-fallback universe must pass the same race sweep: `purego`
 # strips the assembly kernels, so this is the tree that runs on
 # architectures without a SIMD kernel (and the reference the vector
-# kernels are audited against). Same package scope as `race` — the
-# full tree under -race blows the per-package test timeout on 1-core
-# CI boxes.
+# kernels are audited against).
 race-purego:
-	$(GO) test -tags purego -race ./internal/obs ./internal/tensor ./internal/autodiff ./internal/nn ./internal/interp ./internal/serve/... ./internal/core/... ./internal/jobs ./cmd/adarnet-serve
+	$(GO) test -tags purego -race $(RACE_PKGS)
+
+# benchmark/ is its own module (`replace adarnet => ../`) that `go build
+# ./...` and `go test ./...` at the root never reach; it reads
+# serve.EngineStats fields and calls serve.New, so vet and test it here or a
+# change to those breaks it unseen.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Kernel microbenchmarks (also available as `adarnet-bench -exp micro`).
 # BenchmarkHistogramRecord guards the telemetry hot path: the bar is
@@ -85,5 +93,5 @@ BENCHDIFF_FLAGS ?=
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(OLD) $(NEW)
 
-verify: fmt asm-vet vet-deprecated build test race race-purego
+verify: fmt asm-vet vet-deprecated build test bench-module race race-purego
 	@echo verify OK

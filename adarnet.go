@@ -290,8 +290,8 @@ var (
 	WithPrecision = serve.WithPrecision
 	// WithCache enables the content-addressed prediction cache with a byte
 	// budget: identical inputs recurring over time are answered from memory,
-	// bypassing the queue and the forward pass, bit-identical on both
-	// precision paths (default disabled; see DESIGN.md §12).
+	// bypassing the LR solve, the queue and the forward pass, bit-identical
+	// on both precision paths (default disabled; see DESIGN.md §12).
 	WithCache = serve.WithCache
 	// WithNegativeTTL sets the lifetime of negative cache entries — inputs
 	// whose LR solve diverged are answered with the cached ErrDiverged for

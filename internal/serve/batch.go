@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"adarnet/internal/autodiff"
@@ -67,15 +66,15 @@ func (e *Engine) logPanic(stage string, err error, reqs []*request) {
 	e.logger.Error("serve: contained panic", attrs...)
 }
 
-// forwardGroup coalesces bitwise-identical fields, runs the unique fields of
-// same-shape requests through one batched forward pass — the gradient-free
-// tape by default, the frozen float32 fast path under WithPrecision(Float32)
-// — and demultiplexes the assembled per-sample predictions to their callers.
-// A panic anywhere inside
-// is recovered into a *PanicError (wrapping ErrInternal) for runGroup to
-// handle; the tape's pooled buffers are abandoned to the GC on that path —
-// a panic is rare enough that leaking one tape's working set beats trying to
-// free state of unknown integrity.
+// forwardGroup runs same-shape requests through one batched forward pass —
+// the gradient-free tape by default, the frozen float32 fast path under
+// WithPrecision(Float32) — and demultiplexes the assembled per-sample
+// predictions to their callers. Identical requests never share a batch: the
+// table in front of the queue (memo) lets one of them through. A panic
+// anywhere inside is recovered into a *PanicError (wrapping ErrInternal) for
+// runGroup to handle; the tape's pooled buffers are abandoned to the GC on
+// that path — a panic is rare enough that leaking one tape's working set
+// beats trying to free state of unknown integrity.
 //
 // Inference.MemoryBytes is zero on this path: the peak-allocation counter is
 // process-global and several workers share it, so the figure is only
@@ -88,70 +87,26 @@ func (e *Engine) forwardGroup(reqs []*request) (err error) {
 		}
 	}()
 	start := time.Now()
-
-	// Single-flight coalescing: requests whose fields are bitwise-identical
-	// (concurrent clients polling the same flow state — the hot-request
-	// serving pattern) share one batch slot and one forward pass. Inference
-	// reads nothing but the four field channels (grid.ToTensor), so field
-	// equality is exact, and every caller past the first receives its own
-	// deep copy of the result.
-	// buckets maps each field hash to the uniq indices carrying it, so a
-	// batch of n distinct requests costs n map lookups instead of the
-	// n²/2 pairwise key compares of a linear scan; the full-field equality
-	// check on each bucket candidate still rules out hash collisions.
-	uniq := make([]*request, 0, len(reqs))
-	members := make([][]*request, 0, len(reqs))
-	buckets := make(map[uint64][]int, len(reqs))
-coalesce:
-	for _, req := range reqs {
-		key := flowKey(req.flow)
-		for _, i := range buckets[key] {
-			if sameFields(uniq[i].flow, req.flow) {
-				members[i] = append(members[i], req)
-				e.stats.coalesced.Add(1)
-				req.span.SetAttrs(obs.Bool("coalesced", true))
-				continue coalesce
-			}
-		}
-		buckets[key] = append(buckets[key], len(uniq))
-		uniq = append(uniq, req)
-		members = append(members, reqs[:0:0])
-	}
-
 	var infs []*core.Inference
 	if e.model32 != nil {
-		infs = e.forwardGroup32(uniq, start)
+		infs = e.forwardGroup32(reqs, start)
 	} else {
-		infs = e.forwardGroup64(uniq, start)
+		infs = e.forwardGroup64(reqs, start)
 	}
-
 	for i, inf := range infs {
-		// Populate the prediction cache on reply: the cache takes deep
-		// copies, so handing inf to the caller afterwards aliases nothing.
-		if e.cache != nil {
-			e.cache.put(e.cacheKey(uniq[i].flow), snapFlow(uniq[i].flow), inf)
-		}
-		e.reply(uniq[i], inf)
-		for _, req := range members[i] {
-			e.reply(req, &core.Inference{
-				Levels:         inf.Levels.Clone(),
-				Field:          inf.Field.Clone(),
-				CompositeCells: inf.CompositeCells,
-				Elapsed:        inf.Elapsed,
-			})
-		}
+		e.reply(reqs[i], inf)
 	}
 	return nil
 }
 
 // forwardGroup32 is the batched fast path: one frozen float32 pass over the
-// coalesced group. BeginBatch (normalize + network) is timed as the forward
+// group. BeginBatch (normalize + network) is timed as the forward
 // stage and Finish (cap + assemble + invert) as the assemble stage, so the
 // stage histograms stay comparable across precisions.
-func (e *Engine) forwardGroup32(uniq []*request, start time.Time) []*core.Inference {
-	flows := make([]*grid.Flow, len(uniq))
+func (e *Engine) forwardGroup32(reqs []*request, start time.Time) []*core.Inference {
+	flows := make([]*grid.Flow, len(reqs))
 	inject := e.inject.Load()
-	for i, req := range uniq {
+	for i, req := range reqs {
 		if inject != nil {
 			(*inject)(req.flow)
 		}
@@ -163,7 +118,7 @@ func (e *Engine) forwardGroup32(uniq []*request, start time.Time) []*core.Infere
 	infs := batch.Finish(e.cfg.levelCap)
 	assembleDone := time.Now()
 	e.stats.assemble.ObserveDuration(assembleDone.Sub(forwardDone))
-	e.recordStageSpans(uniq, start, forwardDone, assembleDone)
+	e.recordStageSpans(reqs, start, forwardDone, assembleDone)
 	for _, inf := range infs {
 		inf.Elapsed = time.Since(start)
 	}
@@ -175,11 +130,11 @@ func (e *Engine) forwardGroup32(uniq []*request, start time.Time) []*core.Infere
 // observed — span durations and histogram samples are identical by
 // construction. The histograms record once per group; each traced request
 // in the group gets its own copy of the group's stage spans.
-func (e *Engine) recordStageSpans(uniq []*request, start, forwardDone, assembleDone time.Time) {
+func (e *Engine) recordStageSpans(reqs []*request, start, forwardDone, assembleDone time.Time) {
 	fwd := forwardDone.Sub(start).Nanoseconds()
 	asm := assembleDone.Sub(forwardDone).Nanoseconds()
-	group := int64(len(uniq))
-	for _, req := range uniq {
+	group := int64(len(reqs))
+	for _, req := range reqs {
 		if req.span == nil {
 			continue
 		}
@@ -191,17 +146,17 @@ func (e *Engine) recordStageSpans(uniq []*request, start, forwardDone, assembleD
 }
 
 // forwardGroup64 is the default full-precision tape path.
-func (e *Engine) forwardGroup64(uniq []*request, start time.Time) []*core.Inference {
+func (e *Engine) forwardGroup64(reqs []*request, start time.Time) []*core.Inference {
 	m := e.model
-	b := len(uniq)
-	h, w := uniq[0].flow.H, uniq[0].flow.W
+	b := len(reqs)
+	h, w := reqs[0].flow.H, reqs[0].flow.W
 	per := h * w * grid.NumChannels
 
 	t := autodiff.NewInferTape()
 	stacked := tensor.NewPooled(b, h, w, grid.NumChannels)
 	sd := stacked.Data()
 	inject := e.inject.Load()
-	for i, req := range uniq {
+	for i, req := range reqs {
 		if inject != nil {
 			(*inject)(req.flow)
 		}
@@ -233,7 +188,7 @@ func (e *Engine) forwardGroup64(uniq []*request, start time.Time) []*core.Infere
 	t.Free()
 	assembleDone := time.Now()
 	e.stats.assemble.ObserveDuration(assembleDone.Sub(forwardDone))
-	e.recordStageSpans(uniq, start, forwardDone, assembleDone)
+	e.recordStageSpans(reqs, start, forwardDone, assembleDone)
 	return infs
 }
 
@@ -270,50 +225,4 @@ func (e *Engine) fail(req *request, err error) {
 		req.span.End()
 	}
 	req.done <- response{err: err}
-}
-
-// FNV-1a parameters, shared by the coalescing keys and the cache keys.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	h ^= v
-	h *= fnvPrime
-	return h
-}
-
-// flowKey is an FNV-1a hash over the grid shape and the four field channels
-// — the exact inputs of inference. Hashing H and W ahead of the payload
-// guarantees two different-shaped fields with identical flattened bytes can
-// never bucket together; collisions among same-shape fields only gate the
-// full comparison in sameFields.
-func flowKey(f *grid.Flow) uint64 { return flowKeySeeded(fnvOffset, f) }
-
-// flowKeySeeded is flowKey from an arbitrary seed; the prediction cache
-// seeds it with the engine's refinement parameters (see cacheSeed).
-func flowKeySeeded(seed uint64, f *grid.Flow) uint64 {
-	h := fnvMix(fnvMix(seed, uint64(f.H)), uint64(f.W))
-	for _, ch := range [][]float64{f.U.Data, f.V.Data, f.P.Data, f.Nut.Data} {
-		for _, v := range ch {
-			h = fnvMix(h, math.Float64bits(v))
-		}
-	}
-	return h
-}
-
-// sameFields reports bitwise equality of the four field channels of two
-// same-shape flows.
-func sameFields(a, b *grid.Flow) bool {
-	eq := func(x, y []float64) bool {
-		for i, v := range x {
-			if math.Float64bits(v) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return eq(a.U.Data, b.U.Data) && eq(a.V.Data, b.V.Data) &&
-		eq(a.P.Data, b.P.Data) && eq(a.Nut.Data, b.Nut.Data)
 }

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,103 +13,171 @@ import (
 	"adarnet/internal/core"
 	"adarnet/internal/grid"
 	"adarnet/internal/patch"
+	"adarnet/internal/solver"
 	"adarnet/internal/tensor"
 )
 
-// flowCache is the content-addressed prediction cache (DESIGN.md §12): a
-// sharded, byte-budgeted LRU keyed by a hash of the exact input field bytes
-// plus the engine's refinement parameters. It extends the single-flight
-// coalescing in forwardGroup — which deduplicates identical requests that
-// are in flight *concurrently* — to identical requests separated in time:
-// the same geometry at the same Re recurs across users and sessions, and
-// the second identical request should cost a hash and a copy, not a queue
-// wait and a forward pass.
+// memo is the serving stack's one request-deduplication table (DESIGN.md
+// §12): a sharded map from a content key to an open flight (a request being
+// computed right now) or a resident entry (a finished one). An identical
+// request that arrives while the first is in flight waits for it as a
+// follower; one that arrives later is a hit. Either way it costs a hash, a
+// compare and a deep copy instead of an LR solve and a forward pass.
+//
+// Two key spaces share the table. A case key covers everything solver.Solve
+// reads from a built case, so Predict skips the solve and the forward pass;
+// a flow key covers the solved field, which is all inference reads, so
+// PredictFlow skips the forward pass. Flights are always on. The byte budget
+// governs retention only: a budget of zero keeps flights and stores nothing
+// (the Cluster's router holds such an instance).
 //
 // Correctness rests on three properties:
 //
-//   - Exactness: the key is a hash of the raw float64 bit patterns of the
-//     four field channels (plus grid shape and refinement parameters), and
-//     every hit re-checks full-field bitwise equality against the stored
-//     input, so a hash collision can never serve the wrong prediction.
-//     Inference reads nothing but the field values, so bitwise-equal inputs
-//     produce bitwise-equal outputs on both precision paths.
-//   - Isolation: entries own deep copies of both the input fields and the
-//     result (copy-on-write at insert), and every hit hands the caller a
-//     fresh deep copy (copy-on-read). Pooled tensors are never aliased into
-//     the cache, and a caller mutating its result cannot poison later hits.
-//   - Bounded memory: the byte budget is split evenly across shards and each
-//     shard evicts from its own LRU tail, so the cache can never exceed the
-//     budget no matter the traffic mix. (A shard cannot borrow another
-//     shard's idle budget; with 16 shards and hash-spread keys the error is
-//     small, and the invariant stays one-lock-local.)
+//   - Exactness: a key is a hash, and every hit or join re-checks full
+//     bitwise equality against the stored identity, so a collision gates a
+//     compare, never a wrong answer. Solve and inference are deterministic
+//     functions of the identity, so equal identities give bit-equal results
+//     on both precision paths.
+//   - Isolation: flights and entries own deep copies of identity and result,
+//     and every hit and every follower receives a fresh deep copy. Pooled
+//     tensors are never aliased in, and a caller mutating its result cannot
+//     poison later answers.
+//   - Bounded memory: the budget is split evenly across shards and each
+//     shard evicts from its own LRU tail under its own lock, so resident
+//     bytes never exceed the budget.
 //
-// Negative caching: an input whose LR solve diverged (solver.ErrDiverged)
-// is deterministic garbage-in — re-solving it burns thousands of iterations
-// to rediscover the same NaN. Those inputs are cached with a short TTL so
-// repeated hostile or buggy traffic is answered immediately, while the TTL
-// keeps a transient misconfiguration from being remembered forever.
-type flowCache struct {
-	perShard int64         // byte budget per shard (total budget / shard count)
+// A diverged LR solve (solver.ErrDiverged) is retained as a negative entry
+// for negTTL: re-solving it burns thousands of iterations to rediscover the
+// same NaN, while the TTL keeps a transient misconfiguration from being
+// remembered forever.
+type memo struct {
+	perShard int64         // byte budget per shard; 0 retains nothing
 	negTTL   time.Duration // negative-entry lifetime; <= 0 disables negative caching
 	now      func() time.Time
+	closed   atomic.Bool // set by purge: a closed engine's table accepts no entries
 
-	shards [cacheShardCount]cacheShard
+	shards [memoShards]memoShard
 
-	// Counters and gauges. These atomics are the single source of truth:
-	// EngineStats and the /metrics exposition both read them, so the two
-	// views can never disagree.
-	hits    atomic.Uint64 // positive hits served
-	misses  atomic.Uint64 // lookups that fell through to the pipeline
-	negHits atomic.Uint64 // negative (cached-error) hits served
-	evicted atomic.Uint64 // entries evicted at the byte budget
-	bytes   atomic.Int64  // resident cache bytes across all shards
-	entries atomic.Int64  // resident entry count across all shards
+	// These atomics are the single source of truth: EngineStats and the
+	// /metrics exposition both read them, so the two views cannot disagree.
+	hits    [numKeySpaces]atomic.Uint64 // positive hits served, by key space
+	misses  atomic.Uint64               // lookups that found no live entry (leaders and followers)
+	negHits atomic.Uint64               // negative (cached-error) hits served
+	evicted atomic.Uint64               // entries evicted at the byte budget
+	bytes   atomic.Int64                // resident bytes across all shards
+	entries atomic.Int64                // resident entry count across all shards
 }
 
-// cacheShardCount is a power of two so the shard index is a mask of the key.
-const cacheShardCount = 16
+// memoShards is a power of two so the shard index is a mask of the key.
+const memoShards = 16
 
-// cacheEntryOverhead approximates the fixed per-entry cost (headers, list
-// links, bucket slot) charged against the byte budget in addition to the
-// payload slices.
-const cacheEntryOverhead = 256
+// entryOverhead approximates the fixed per-entry cost (headers, list links,
+// map slot) charged against the byte budget on top of the payload slices.
+const entryOverhead = 256
 
-type cacheShard struct {
+type memoShard struct {
 	mu      sync.Mutex
-	buckets map[uint64][]*cacheEntry // hash → entries (collision chain)
-	head    *cacheEntry              // most recently used
-	tail    *cacheEntry              // next eviction candidate
+	entries map[uint64]*entry
+	flights map[uint64]*flight
+	head    *entry // most recently used
+	tail    *entry // next eviction candidate
 	bytes   int64
 }
 
-// flowSnap is a deep copy of the cache-relevant part of a flow: the grid
-// shape and the four field channels, exactly the bytes inference reads.
-type flowSnap struct {
+// keySpace says what an identity covers, and so what a hit lets a request
+// skip.
+type keySpace uint8
+
+const (
+	flowSpace    keySpace = iota // the solved field: everything inference reads
+	caseSpace                    // the built case: everything solver.Solve reads
+	numKeySpaces = 2
+)
+
+func (s keySpace) String() string {
+	if s == caseSpace {
+		return "case"
+	}
+	return "flow"
+}
+
+// ident is the content a key stands for. flowIdent and caseIdent return views
+// aliasing the caller's flow, which is all a lookup needs; clone makes the
+// copy a flight or an entry keeps (the LR solve then mutates the flow in
+// place).
+type ident struct {
+	space  keySpace
 	h, w   int
+	meta   [9]uint64 // case space: bits of Dx, Dy, UIn, Nu, NutIn and the four BCs
+	mask   []bool    // case space: the immersed body
 	fields [4][]float64
 }
 
-// snapFlow copies f's channels; the snapshot stays valid after the caller's
-// flow is mutated (the LR solve works in place) or recycled.
-func snapFlow(f *grid.Flow) flowSnap {
-	cp := func(s []float64) []float64 {
-		d := make([]float64, len(s))
-		copy(d, s)
-		return d
-	}
-	return flowSnap{
-		h: f.H, w: f.W,
-		fields: [4][]float64{cp(f.U.Data), cp(f.V.Data), cp(f.P.Data), cp(f.Nut.Data)},
+func flowIdent(f *grid.Flow) ident {
+	return ident{
+		space: flowSpace, h: f.H, w: f.W,
+		fields: [4][]float64{f.U.Data, f.V.Data, f.P.Data, f.Nut.Data},
 	}
 }
 
-// equalChannels reports bitwise equality against a shape and channel set.
-func (s *flowSnap) equalChannels(h, w int, ch [4][]float64) bool {
-	if s.h != h || s.w != w {
+// caseIdent covers every input of solver.Solve: the wall distance it also
+// reads is a function of the shape, cell sizes, BCs and mask hashed here.
+func caseIdent(f *grid.Flow) ident {
+	id := flowIdent(f)
+	id.space = caseSpace
+	id.meta = [9]uint64{
+		math.Float64bits(f.Dx), math.Float64bits(f.Dy),
+		math.Float64bits(f.UIn), math.Float64bits(f.Nu), math.Float64bits(f.NutIn),
+		uint64(f.BC.Left), uint64(f.BC.Right), uint64(f.BC.Bottom), uint64(f.BC.Top),
+	}
+	id.mask = f.Mask
+	return id
+}
+
+// FNV-1a parameters.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 {
+	h ^= v
+	h *= fnvPrime
+	return h
+}
+
+// hash is FNV-1a over the identity from seed (see memoSeed). The key space,
+// the grid shape and the mask length go in ahead of the payload, so
+// identities that differ only in how the same bytes are laid out never share
+// a key.
+func (id *ident) hash(seed uint64) uint64 {
+	h := fnvMix(fnvMix(fnvMix(seed, uint64(id.space)), uint64(id.h)), uint64(id.w))
+	for _, v := range id.meta {
+		h = fnvMix(h, v)
+	}
+	h = fnvMix(h, uint64(len(id.mask)))
+	for _, solid := range id.mask {
+		v := uint64(0)
+		if solid {
+			v = 1
+		}
+		h = fnvMix(h, v)
+	}
+	for _, ch := range id.fields {
+		for _, v := range ch {
+			h = fnvMix(h, math.Float64bits(v))
+		}
+	}
+	return h
+}
+
+// equal reports bitwise equality of two identities.
+func (id *ident) equal(o *ident) bool {
+	if id.space != o.space || id.h != o.h || id.w != o.w || id.meta != o.meta || !slices.Equal(id.mask, o.mask) {
 		return false
 	}
-	for c := range s.fields {
-		a, b := s.fields[c], ch[c]
+	for c := range id.fields {
+		a, b := id.fields[c], o.fields[c]
 		if len(a) != len(b) {
 			return false
 		}
@@ -118,188 +190,246 @@ func (s *flowSnap) equalChannels(h, w int, ch [4][]float64) bool {
 	return true
 }
 
-func (s *flowSnap) matchesFlow(f *grid.Flow) bool {
-	return s.equalChannels(f.H, f.W, [4][]float64{f.U.Data, f.V.Data, f.P.Data, f.Nut.Data})
-}
-
-func (s *flowSnap) matchesSnap(o *flowSnap) bool {
-	return s.equalChannels(o.h, o.w, o.fields)
-}
-
-func (s *flowSnap) byteSize() int64 {
-	n := 0
-	for _, f := range s.fields {
-		n += len(f)
+func (id *ident) clone() ident {
+	c := *id
+	c.mask = slices.Clone(id.mask)
+	for i, f := range id.fields {
+		c.fields[i] = slices.Clone(f)
 	}
-	return int64(n) * 8
+	return c
 }
 
-// cacheEntry is one memoized prediction (or memoized divergence). All fields
-// are immutable after insert; only the LRU links mutate, under the shard
-// lock, so a reader that grabbed payload references under the lock can copy
-// them after releasing it even if the entry is evicted in between.
-type cacheEntry struct {
-	key uint64
-	in  flowSnap
+func (id *ident) byteSize() int64 {
+	n := len(id.mask)
+	for _, f := range id.fields {
+		n += len(f) * 8
+	}
+	return int64(n)
+}
 
-	// Positive payload: private copies of the inference result.
+// payload is an immutable private copy of an inference result: what an entry
+// retains and what hits and followers copy from.
+type payload struct {
 	levels     *patch.Map
 	fieldShape []int
 	fieldData  []float64
 	composite  int
+}
 
-	// Negative payload: the divergence error and its expiry. negErr non-nil
-	// marks the entry negative.
+func newPayload(inf *core.Inference) *payload {
+	return &payload{
+		levels:     inf.Levels.Clone(),
+		fieldShape: inf.Field.Shape(),
+		fieldData:  slices.Clone(inf.Field.Data()),
+		composite:  inf.CompositeCells,
+	}
+}
+
+func (p *payload) inference() *core.Inference {
+	return &core.Inference{
+		Levels:         p.levels.Clone(),
+		Field:          tensor.FromSlice(slices.Clone(p.fieldData), p.fieldShape...),
+		CompositeCells: p.composite,
+	}
+}
+
+// entry is one retained answer: a result, or a divergence (negErr non-nil)
+// with its expiry. Immutable after insert except for the LRU links, which
+// mutate under the shard lock, so a reader that took res under the lock may
+// copy from it after releasing it even if the entry is evicted meanwhile.
+type entry struct {
+	key uint64
+	id  ident
+	res *payload
+
 	negErr    error
 	negExpiry time.Time
 
 	bytes      int64
-	prev, next *cacheEntry
+	prev, next *entry
 }
 
-func (e *cacheEntry) negative() bool { return e.negErr != nil }
+// flight is one request being computed. The leader runs it; followers wait
+// on done and then read res and err.
+type flight struct {
+	id      ident
+	done    chan struct{}
+	waiters int // followers that joined; under the shard lock
+	res     *payload
+	err     error
+}
 
-func newFlowCache(budget int64, negTTL time.Duration) *flowCache {
-	per := budget / cacheShardCount
-	if per < 1 {
+// outcome says how do answered.
+type outcome int
+
+const (
+	led      outcome = iota // ran the computation itself
+	followed                // waited on another request's flight
+	hit                     // served from a resident entry (positive or negative)
+)
+
+// errLeaderPanicked is what followers receive when a flight's computation
+// panicked; the panic itself propagates on the leader's goroutine.
+var errLeaderPanicked = fmt.Errorf("serve: flight leader panicked: %w", ErrInternal)
+
+func newMemo(budget int64, negTTL time.Duration) *memo {
+	per := budget / memoShards
+	if budget > 0 && per < 1 {
 		per = 1
 	}
-	return &flowCache{perShard: per, negTTL: negTTL, now: time.Now}
+	return &memo{perShard: per, negTTL: negTTL, now: time.Now}
 }
 
-func (c *flowCache) shard(key uint64) *cacheShard {
-	return &c.shards[key&(cacheShardCount-1)]
-}
+// retains reports whether the table stores finished answers (a byte budget
+// was given) or only coalesces concurrent ones.
+func (m *memo) retains() bool { return m.perShard > 0 }
 
-// get looks f up under key. On a positive hit it returns a fresh deep copy
-// of the stored inference (ok=true); on a live negative hit it returns the
-// stored error (ok=true); otherwise ok=false. countMiss controls whether a
-// fall-through increments the miss counter — the speculative negative-only
-// probe in Predict passes false so one logical request is not counted as
-// two misses.
-func (c *flowCache) get(key uint64, f *grid.Flow, countMiss bool) (*core.Inference, error, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	for _, e := range sh.buckets[key] {
-		if !e.in.matchesFlow(f) {
-			continue
-		}
-		if e.negative() {
-			if c.now().After(e.negExpiry) {
-				sh.removeLocked(c, e)
-				break // expired: a miss, and the pipeline will re-derive it
+// do answers the request identified by id (hashing to key): from a resident
+// entry, by waiting on an open flight for an equal identity, or by opening a
+// flight and running lead. A follower waits under its own ctx; its
+// cancellation never reaches the leader. A leader that failed with a context
+// error died of its own cancellation, so each live follower tries again, and
+// the first becomes the new leader.
+func (m *memo) do(ctx context.Context, key uint64, id *ident, lead func() (*core.Inference, error)) (*core.Inference, error, outcome) {
+	sh := &m.shards[key&(memoShards-1)]
+	counted := false
+	for {
+		sh.mu.Lock()
+		if e := sh.entries[key]; e != nil && e.id.equal(id) {
+			switch {
+			case e.negErr == nil:
+				sh.touchLocked(e)
+				sh.mu.Unlock()
+				m.hits[id.space].Add(1)
+				return e.res.inference(), nil, hit
+			case m.now().After(e.negExpiry):
+				sh.removeLocked(m, e)
+			default:
+				sh.touchLocked(e)
+				sh.mu.Unlock()
+				m.negHits.Add(1)
+				return nil, e.negErr, hit
 			}
-			sh.touchLocked(e)
+		}
+		if m.retains() && !counted {
+			counted = true
+			m.misses.Add(1)
+		}
+		f := sh.flights[key]
+		if f == nil {
+			f = &flight{id: id.clone(), done: make(chan struct{})}
+			if sh.flights == nil {
+				sh.flights = make(map[uint64]*flight)
+			}
+			sh.flights[key] = f
 			sh.mu.Unlock()
-			c.negHits.Add(1)
-			return nil, e.negErr, true
+			inf, err := m.lead(sh, key, f, lead)
+			return inf, err, led
 		}
-		sh.touchLocked(e)
-		// Payload references are safe to copy outside the lock: entries are
-		// immutable after insert, eviction only unlinks.
-		levels, shape, data, composite := e.levels, e.fieldShape, e.fieldData, e.composite
+		if !f.id.equal(id) {
+			// Hash collision with a different request in flight: compute
+			// alone, keeping the flight map single-valued per key.
+			sh.mu.Unlock()
+			inf, err := lead()
+			return inf, err, led
+		}
+		f.waiters++
 		sh.mu.Unlock()
-		c.hits.Add(1)
-		field := tensor.New(shape...)
-		copy(field.Data(), data)
-		return &core.Inference{
-			Levels:         levels.Clone(),
-			Field:          field,
-			CompositeCells: composite,
-		}, nil, true
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err(), followed
+		}
+		if f.err == nil {
+			return f.res.inference(), nil, followed
+		}
+		if !isContextErr(f.err) || ctx.Err() != nil {
+			return nil, f.err, followed
+		}
 	}
-	sh.mu.Unlock()
-	if countMiss {
-		c.misses.Add(1)
-	}
-	return nil, nil, false
 }
 
-// put memoizes a completed inference for the input snapshot. The entry takes
-// deep copies of the result, so the caller-owned Inference (and any pooled
-// storage behind it) is never aliased into the cache.
-func (c *flowCache) put(key uint64, in flowSnap, inf *core.Inference) {
-	e := &cacheEntry{
-		key:        key,
-		in:         in,
-		levels:     inf.Levels.Clone(),
-		fieldShape: inf.Field.Shape(),
-		fieldData:  append([]float64(nil), inf.Field.Data()...),
-		composite:  inf.CompositeCells,
-	}
-	e.bytes = in.byteSize() + int64(len(e.fieldData))*8 + int64(len(e.levels.Level))*8 + cacheEntryOverhead
-	c.insert(e)
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// putNegative memoizes a diverged input for negTTL. No-op when negative
-// caching is disabled.
-func (c *flowCache) putNegative(key uint64, in flowSnap, err error) {
-	if c.negTTL <= 0 {
-		return
-	}
-	e := &cacheEntry{
-		key:       key,
-		in:        in,
-		negErr:    err,
-		negExpiry: c.now().Add(c.negTTL),
-	}
-	e.bytes = in.byteSize() + cacheEntryOverhead
-	c.insert(e)
+// lead runs fn as the leader of f and lands the flight: the answer is
+// retained if the table retains, the flight leaves the map in the same
+// critical section (so an equal request finds one or the other), and
+// followers are released. Deferred, so a panicking fn cannot strand them.
+func (m *memo) lead(sh *memoShard, key uint64, f *flight, fn func() (*core.Inference, error)) (inf *core.Inference, err error) {
+	err = errLeaderPanicked // stands unless fn returns
+	defer func() {
+		var e *entry
+		switch {
+		case !m.retains():
+		case err == nil:
+			f.res = newPayload(inf)
+			e = &entry{key: key, id: f.id, res: f.res}
+			e.bytes = int64(len(f.res.fieldData))*8 + int64(len(f.res.levels.Level))*8
+		case errors.Is(err, solver.ErrDiverged) && m.negTTL > 0:
+			e = &entry{key: key, id: f.id, negErr: err, negExpiry: m.now().Add(m.negTTL)}
+		}
+		sh.mu.Lock()
+		if e != nil {
+			e.bytes += f.id.byteSize() + entryOverhead
+			m.insertLocked(sh, e)
+		}
+		delete(sh.flights, key)
+		waiters := f.waiters
+		sh.mu.Unlock()
+		if err == nil && waiters > 0 && f.res == nil {
+			// inf is still ours: the caller gets it only after we return.
+			f.res = newPayload(inf)
+		}
+		f.err = err
+		close(f.done)
+	}()
+	return fn()
 }
 
-func (c *flowCache) insert(e *cacheEntry) {
-	if e.bytes > c.perShard {
+// insertLocked links e in as most recently used and evicts from the tail
+// down to the shard budget. An entry already under the key — a stale
+// negative, or a different identity whose hash collides — is replaced.
+func (m *memo) insertLocked(sh *memoShard, e *entry) {
+	if m.closed.Load() || e.bytes > m.perShard {
 		// Larger than a whole shard's budget: it would evict everything and
-		// then itself on the next insert. Not cacheable.
+		// then itself on the next insert. Not retainable.
 		return
 	}
-	sh := c.shard(e.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, o := range sh.buckets[e.key] {
-		if !o.in.matchesSnap(&e.in) {
-			continue
-		}
-		// A racing request already populated this input. Keep the resident
-		// entry — unless it is a stale negative being replaced by a real
-		// result (possible only across key spaces that happen to collide,
-		// but cheap to get right).
-		if o.negative() && !e.negative() {
-			sh.removeLocked(c, o)
-			break
-		}
-		return
+	if old := sh.entries[e.key]; old != nil {
+		sh.removeLocked(m, old)
 	}
-	if sh.buckets == nil {
-		sh.buckets = make(map[uint64][]*cacheEntry)
+	if sh.entries == nil {
+		sh.entries = make(map[uint64]*entry)
 	}
-	sh.buckets[e.key] = append(sh.buckets[e.key], e)
+	sh.entries[e.key] = e
 	sh.pushFrontLocked(e)
 	sh.bytes += e.bytes
-	c.bytes.Add(e.bytes)
-	c.entries.Add(1)
-	for sh.bytes > c.perShard && sh.tail != nil && sh.tail != e {
-		victim := sh.tail
-		sh.removeLocked(c, victim)
-		c.evicted.Add(1)
+	m.bytes.Add(e.bytes)
+	m.entries.Add(1)
+	for sh.bytes > m.perShard && sh.tail != e {
+		sh.removeLocked(m, sh.tail)
+		m.evicted.Add(1)
 	}
 }
 
-// purge drops every entry — invalidation on engine close, so a closed
-// engine's results cannot outlive it in the cache.
-func (c *flowCache) purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
+// purge drops every entry and refuses new ones — invalidation on engine
+// close, so a closed engine's results cannot outlive it. Open flights land
+// normally; their answers are just not retained.
+func (m *memo) purge() {
+	m.closed.Store(true)
+	for i := range m.shards {
+		sh := &m.shards[i]
 		sh.mu.Lock()
 		for sh.tail != nil {
-			sh.removeLocked(c, sh.tail)
+			sh.removeLocked(m, sh.tail)
 		}
-		sh.buckets = nil
 		sh.mu.Unlock()
 	}
 }
 
-func (sh *cacheShard) pushFrontLocked(e *cacheEntry) {
+func (sh *memoShard) pushFrontLocked(e *entry) {
 	e.prev = nil
 	e.next = sh.head
 	if sh.head != nil {
@@ -310,7 +440,7 @@ func (sh *cacheShard) pushFrontLocked(e *cacheEntry) {
 	sh.head = e
 }
 
-func (sh *cacheShard) unlinkLocked(e *cacheEntry) {
+func (sh *memoShard) unlinkLocked(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -324,7 +454,7 @@ func (sh *cacheShard) unlinkLocked(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (sh *cacheShard) touchLocked(e *cacheEntry) {
+func (sh *memoShard) touchLocked(e *entry) {
 	if sh.head == e {
 		return
 	}
@@ -332,24 +462,12 @@ func (sh *cacheShard) touchLocked(e *cacheEntry) {
 	sh.pushFrontLocked(e)
 }
 
-// removeLocked unlinks e from the LRU list and its bucket and releases its
-// byte accounting. Caller holds the shard lock.
-func (sh *cacheShard) removeLocked(c *flowCache, e *cacheEntry) {
+// removeLocked unlinks e from the LRU list and the map and releases its byte
+// accounting. Caller holds the shard lock.
+func (sh *memoShard) removeLocked(m *memo, e *entry) {
 	sh.unlinkLocked(e)
-	b := sh.buckets[e.key]
-	for i, o := range b {
-		if o == e {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(sh.buckets, e.key)
-	} else {
-		sh.buckets[e.key] = b
-	}
+	delete(sh.entries, e.key)
 	sh.bytes -= e.bytes
-	c.bytes.Add(-e.bytes)
-	c.entries.Add(-1)
+	m.bytes.Add(-e.bytes)
+	m.entries.Add(-1)
 }

@@ -134,45 +134,54 @@ func TestCacheEvictionAtBudget(t *testing.T) {
 }
 
 // TestCacheNegativeTTL drives the negative path at the unit level with an
-// injected clock: a diverged input is served from cache until the TTL
+// injected clock: a diverged input is served from the table until the TTL
 // elapses, then expires back to a miss; negTTL=0 disables negative caching.
 func TestCacheNegativeTTL(t *testing.T) {
-	flows := testFlows(1, 8, 16)
-	f := flows[0]
-	snap := snapFlow(f)
-	key := flowKey(f)
+	id := caseIdent(testFlows(1, 8, 16)[0])
+	key := id.hash(fnvOffset)
+	solves := 0
+	diverge := func() (*core.Inference, error) {
+		solves++
+		return nil, solver.ErrDiverged
+	}
+	ask := func(m *memo) (error, outcome) {
+		_, err, how := m.do(context.Background(), key, &id, diverge)
+		return err, how
+	}
 
-	c := newFlowCache(1<<20, 50*time.Millisecond)
+	m := newMemo(1<<20, 50*time.Millisecond)
 	base := time.Now()
 	cur := base
-	c.now = func() time.Time { return cur }
+	m.now = func() time.Time { return cur }
 
-	c.putNegative(key, snap, solver.ErrDiverged)
-	if _, err, ok := c.get(key, f, true); !ok || !errors.Is(err, solver.ErrDiverged) {
-		t.Fatalf("live negative entry: ok=%v err=%v", ok, err)
+	if err, how := ask(m); how != led || !errors.Is(err, solver.ErrDiverged) {
+		t.Fatalf("first request: outcome %v err %v, want a led divergence", how, err)
 	}
-	if got := c.negHits.Load(); got != 1 {
+	if err, how := ask(m); how != hit || !errors.Is(err, solver.ErrDiverged) || solves != 1 {
+		t.Fatalf("live negative entry: outcome %v err %v after %d solves", how, err, solves)
+	}
+	if got := m.negHits.Load(); got != 1 {
 		t.Fatalf("negHits = %d, want 1", got)
 	}
 
 	cur = base.Add(51 * time.Millisecond)
-	if _, _, ok := c.get(key, f, true); ok {
-		t.Fatal("expired negative entry still served")
+	if _, how := ask(m); how != led || solves != 2 {
+		t.Fatalf("expired negative entry still served: outcome %v after %d solves", how, solves)
 	}
-	if got := c.entries.Load(); got != 0 {
-		t.Fatalf("expired entry not removed: entries = %d", got)
+	if got := m.entries.Load(); got != 1 {
+		t.Fatalf("expired entry not replaced by the re-derived one: entries = %d", got)
 	}
 
-	off := newFlowCache(1<<20, 0)
-	off.putNegative(key, snap, solver.ErrDiverged)
-	if _, _, ok := off.get(key, f, true); ok {
-		t.Fatal("negative caching served an entry with negTTL = 0")
+	off := newMemo(1<<20, 0)
+	ask(off)
+	if _, how := ask(off); how != led || off.entries.Load() != 0 {
+		t.Fatalf("negative caching retained an entry with negTTL = 0: outcome %v", how)
 	}
 }
 
 // TestCacheNegativeEngine checks the engine-level negative path: a case whose
 // LR solve diverges is answered from the cache on the second Predict, with
-// the error still unwrapping to solver.ErrDiverged.
+// the error still unwrapping to solver.ErrDiverged, until the TTL runs out.
 func TestCacheNegativeEngine(t *testing.T) {
 	flows := testFlows(1, 8, 16)
 	m := testModel(flows)
@@ -190,8 +199,16 @@ func TestCacheNegativeEngine(t *testing.T) {
 	if _, err := e.Predict(context.Background(), div); !errors.Is(err, solver.ErrDiverged) {
 		t.Fatalf("second predict: err = %v, want ErrDiverged", err)
 	}
-	if st := e.Stats(); st.CacheNegativeHits == 0 {
+	if st := e.Stats(); st.CacheNegativeHits != 1 || st.LRSolves != 1 {
 		t.Fatalf("second diverged predict did not hit the negative cache: %+v", st)
+	}
+	// Past the TTL the entry is gone and the case is solved again.
+	e.memo.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	if _, err := e.Predict(context.Background(), div); !errors.Is(err, solver.ErrDiverged) {
+		t.Fatalf("predict after expiry: err = %v, want ErrDiverged", err)
+	}
+	if st := e.Stats(); st.CacheNegativeHits != 1 || st.LRSolves != 2 {
+		t.Fatalf("expired negative entry still served: %+v", st)
 	}
 }
 
@@ -298,7 +315,7 @@ func TestCacheOptionValidation(t *testing.T) {
 	}
 }
 
-// TestFlowKeyShape is the collision regression for flowKey: two flows of
+// TestFlowKeyShape is the collision regression for ident.hash: two flows of
 // different grid shapes with identical flattened channel bytes must hash
 // differently, because the shape is part of the hash — without it they would
 // collide on every request and only the equality check would separate them.
@@ -312,25 +329,29 @@ func TestFlowKeyShape(t *testing.T) {
 		a.P.Data[i], b.P.Data[i] = v*v, v*v
 		a.Nut.Data[i], b.Nut.Data[i] = v/8, v/8
 	}
-	if flowKey(a) == flowKey(b) {
+	if flowKeyOf(fnvOffset, a) == flowKeyOf(fnvOffset, b) {
 		t.Fatal("4x8 and 8x4 flows with identical flattened bytes share a key")
 	}
 	// Same shape, same bytes → same key (the coalescing invariant).
 	c := a.Clone()
-	if flowKey(a) != flowKey(c) {
+	if flowKeyOf(fnvOffset, a) != flowKeyOf(fnvOffset, c) {
 		t.Fatal("bitwise-identical flows hash differently")
 	}
-	// The cache key additionally folds in refinement parameters: two engines
-	// with different patch configurations must not share keys for one flow.
+	// The seed folds in refinement parameters: two engines with different
+	// patch configurations must not share keys for one flow.
 	cfg1 := core.DefaultConfig(2, 2)
 	cfg2 := core.DefaultConfig(4, 4)
-	s1 := cacheSeed(cfg1, &config{})
-	s2 := cacheSeed(cfg2, &config{})
+	s1 := memoSeed(cfg1, &config{})
+	s2 := memoSeed(cfg2, &config{})
 	if s1 == s2 {
-		t.Fatal("different patch configs share a cache seed")
+		t.Fatal("different patch configs share a seed")
 	}
-	if flowKeySeeded(s1, a) == flowKeySeeded(s2, a) {
-		t.Fatal("different refinement parameters share a cache key for the same flow")
+	if flowKeyOf(s1, a) == flowKeyOf(s2, a) {
+		t.Fatal("different refinement parameters share a key for the same flow")
+	}
+	// The two key spaces never share a key for one flow either.
+	if id := caseIdent(a); id.hash(s1) == flowKeyOf(s1, a) {
+		t.Fatal("case key and flow key of one flow coincide")
 	}
 }
 
@@ -360,11 +381,12 @@ func TestCacheStatsMatchMetrics(t *testing.T) {
 
 	st := e.Stats()
 	checks := map[string]float64{
-		"adarnet_serve_cache_hits_total":   float64(st.CacheHits),
-		"adarnet_serve_cache_misses_total": float64(st.CacheMisses),
-		"adarnet_serve_cache_bytes":        float64(st.CacheBytes),
-		"adarnet_serve_cache_entries":      float64(st.CacheEntries),
-		"adarnet_serve_cache_enabled":      1,
+		`adarnet_serve_cache_hits_total{key="flow"}`: float64(st.CacheHitsFlow),
+		`adarnet_serve_cache_hits_total{key="case"}`: float64(st.CacheHitsCase),
+		"adarnet_serve_cache_misses_total":           float64(st.CacheMisses),
+		"adarnet_serve_cache_bytes":                  float64(st.CacheBytes),
+		"adarnet_serve_cache_entries":                float64(st.CacheEntries),
+		"adarnet_serve_cache_enabled":                1,
 	}
 	for name, want := range checks {
 		if got := metricValue(t, reg, name); got != want {

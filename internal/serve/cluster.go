@@ -14,7 +14,6 @@ import (
 	"adarnet/internal/geometry"
 	"adarnet/internal/grid"
 	"adarnet/internal/obs"
-	"adarnet/internal/solver"
 	"adarnet/internal/tensor"
 	"adarnet/internal/tensor/cpu"
 )
@@ -22,19 +21,19 @@ import (
 // Cluster fans requests across N in-process engine replicas behind the same
 // Predictor contract as a single Engine (DESIGN.md §13).
 //
-// Routing is consistent-hash on the request's content key — the same
-// flowKeySeeded hash the prediction cache uses — so repeats of a flow state
-// land on the replica whose cache is warm for it, and the fleet's aggregate
-// cache capacity partitions across replicas instead of duplicating. When the
+// Routing is consistent-hash on the request's content key — the same key the
+// replicas' tables use — so repeats of a case or a flow state land on the
+// replica that retained the answer, and the fleet's aggregate cache capacity
+// partitions across replicas instead of duplicating. When the
 // home replica's queue runs hot, the router falls back to the next replica on
 // the ring (load-aware fallback); retriable failures (contained panics,
 // queue-full, a replica mid-replacement) are retried on the next replica, so
 // a replica dying mid-traffic fails zero accepted requests.
 //
-// Single-flight coalescing is lifted to the router: concurrent requests with
-// bitwise-identical fields collapse to one replica submission regardless of
-// which replica each would have hedged or fallen back to, and every follower
-// receives its own deep copy of the result.
+// The router holds a zero-budget instance of the replicas' table (memo), so
+// concurrent requests with bitwise-identical fields collapse to one replica
+// submission regardless of which replica each would have hedged or fallen
+// back to, and every follower receives its own deep copy of the result.
 //
 // A background monitor derives per-replica health from the same obs
 // histograms /metrics exports; an unhealthy replica is ejected from routing,
@@ -49,10 +48,14 @@ type Cluster struct {
 	slots []*slot
 	ring  *hashRing
 
-	// seed is the routing hash seed. It uses the cacheSeed formula, so the
-	// router key for a flow equals each replica's cache key for it — the
+	// seed is the routing hash seed: memoSeed, as in every replica, so the
+	// router key for a request equals each replica's table key for it — the
 	// property that makes routing cache-affine.
 	seed uint64
+
+	// flights coalesces concurrent identical PredictFlow calls ahead of
+	// routing; with no budget it retains nothing (the replicas do).
+	flights *memo
 
 	// loadThreshold is the home-replica queue depth at which the router
 	// prefers a less-loaded replica: 3/4 of the submission queue.
@@ -60,7 +63,6 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	closed   bool
-	flights  map[uint64]*flight
 	inflight sync.WaitGroup // accepted requests, drained by Close
 
 	healthDone chan struct{}
@@ -114,15 +116,6 @@ func (s *slot) stateName() string {
 	}
 }
 
-// flight is one router-level single-flight entry: the leader runs the
-// request, followers wait on done and copy the result.
-type flight struct {
-	snap flowSnap
-	done chan struct{}
-	inf  *core.Inference
-	err  error
-}
-
 // NewCluster starts cfg.replicas engine replicas (WithReplicas) for a
 // trained model and the router in front of them. All per-replica options
 // (WithWorkers, WithMaxBatch, WithCache, ...) apply to every replica; with
@@ -140,12 +133,13 @@ func NewCluster(m *core.Model, opts ...Option) (*Cluster, error) {
 		}
 		cfg.frozen = fm
 	}
+	cfg.gate = newSolveGate(cfg.queueDepth)
 	c := &Cluster{
 		model:         m,
 		cfg:           cfg,
-		seed:          cacheSeed(m.Cfg, &cfg),
+		seed:          memoSeed(m.Cfg, &cfg),
 		loadThreshold: max(1, 3*cfg.queueDepth/4),
-		flights:       make(map[uint64]*flight),
+		flights:       newMemo(0, 0),
 		ring:          newHashRing(cfg.replicas, ringVnodes),
 		healthDone:    make(chan struct{}),
 		logger:        cfg.logger,
@@ -221,30 +215,30 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// Predict mirrors Engine.Predict across the fleet: the LR solve runs in the
-// caller's goroutine, and with caching enabled the home replica's negative
-// cache is probed before paying for the solve.
+// Predict mirrors Engine.Predict across the fleet: the case key picks a home
+// replica, whose table answers the request; a flight leader solves in the
+// caller's goroutine and routes the solved field like any other (fallback,
+// retries, hedging), bypassing the replicas' flow key space.
 func (c *Cluster) Predict(ctx context.Context, gc *geometry.Case) (*core.Inference, error) {
-	lr := gc.Build()
-	home := c.homeEngine(flowKeySeeded(c.seed, lr))
-	if home == nil || home.cache == nil {
-		if err := solveLR(ctx, lr, c.cfg.solverOpt); err != nil {
-			return nil, err
-		}
-		return c.PredictFlow(ctx, lr)
+	if !c.acquire() {
+		return nil, fmt.Errorf("serve: cluster submit: %w", ErrEngineClosed)
 	}
-	if inf, err, ok := home.cacheLookup(ctx, lr, false); ok {
+	defer c.inflight.Done()
+	lr := gc.Build()
+	id := caseIdent(lr)
+	key := id.hash(c.seed)
+	for {
+		home := c.homeEngine(key)
+		inf, err := home.predictCase(ctx, key, id, lr, func(ctx context.Context, lr *grid.Flow) (*core.Inference, error) {
+			return c.do(ctx, key, lr, (*Engine).submit)
+		})
+		// The home replica was replaced between the lookup and the call:
+		// its successor owns the key now.
+		if errors.Is(err, ErrEngineClosed) && c.homeEngine(key) != home {
+			continue
+		}
 		return inf, err
 	}
-	key := home.cacheKey(lr)
-	snap := snapFlow(lr) // the solve mutates lr in place
-	if err := solveLR(ctx, lr, c.cfg.solverOpt); err != nil {
-		if errors.Is(err, solver.ErrDiverged) {
-			home.cache.putNegative(key, snap, err)
-		}
-		return nil, err
-	}
-	return c.PredictFlow(ctx, lr)
 }
 
 // PredictFlow routes a solved LR flow field to its home replica (with
@@ -263,67 +257,25 @@ func (c *Cluster) PredictFlow(ctx context.Context, lr *grid.Flow) (*core.Inferen
 	}
 	defer c.inflight.Done()
 
-	key := flowKeySeeded(c.seed, lr)
-	for {
-		c.mu.Lock()
-		if f, ok := c.flights[key]; ok {
-			if !f.snap.matchesFlow(lr) {
-				// Hash collision with a different field: run directly,
-				// keeping the flight map single-valued per key.
-				c.mu.Unlock()
-				return c.do(ctx, key, lr)
-			}
-			c.mu.Unlock()
-			waitStart := time.Now()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if f.err != nil {
-				// A leader that died with its own context leaves live
-				// followers behind; the first one retries as the new leader.
-				if isContextErr(f.err) && ctx.Err() == nil {
-					continue
-				}
-				return nil, f.err
-			}
+	start := time.Now()
+	id := flowIdent(lr)
+	key := id.hash(c.seed)
+	inf, err, how := c.flights.do(ctx, key, &id, func() (*core.Inference, error) {
+		return c.do(ctx, key, lr, (*Engine).PredictFlow)
+	})
+	if how == followed {
+		end := time.Now()
+		if sp := obs.SpanFromContext(ctx); sp.Recording() {
+			// The follower's whole wall time is waiting on the leader's
+			// in-flight result.
+			sp.Child("flight_wait", start, end, obs.String("key", "flow"))
+		}
+		if err == nil {
 			c.coalesced.Add(1)
-			if sp := obs.SpanFromContext(ctx); sp.Recording() {
-				// The follower's whole wall time is waiting on the leader's
-				// in-flight result.
-				sp.Child("router_coalesced", waitStart, time.Now())
-			}
-			return copyInference(f.inf), nil
+			inf.Elapsed = end.Sub(start)
 		}
-		f := &flight{snap: snapFlow(lr), done: make(chan struct{})}
-		c.flights[key] = f
-		c.mu.Unlock()
-
-		f.inf, f.err = c.do(ctx, key, lr)
-		c.mu.Lock()
-		if c.flights[key] == f {
-			delete(c.flights, key)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return f.inf, f.err
 	}
-}
-
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// copyInference deep-copies a result so coalesced followers never alias the
-// leader's tensors.
-func copyInference(inf *core.Inference) *core.Inference {
-	return &core.Inference{
-		Levels:         inf.Levels.Clone(),
-		Field:          inf.Field.Clone(),
-		CompositeCells: inf.CompositeCells,
-		Elapsed:        inf.Elapsed,
-	}
+	return inf, err
 }
 
 // Stats snapshots the exact fleet aggregate: scalar counters sum and stage
@@ -340,7 +292,7 @@ func (c *Cluster) Stats() EngineStats {
 	for _, sl := range c.slots {
 		sl.stats.addTo(&s, &snaps)
 		if e := sl.engine(); e != nil {
-			addCacheTo(&s, e.cache)
+			addCacheTo(&s, e.memo)
 		}
 	}
 	s.Coalesced += c.coalesced.Load()

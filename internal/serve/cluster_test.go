@@ -11,6 +11,12 @@ import (
 	"adarnet/internal/grid"
 )
 
+// flowKeyOf is the flow-space table key of f: the router's routing key.
+func flowKeyOf(seed uint64, f *grid.Flow) uint64 {
+	id := flowIdent(f)
+	return id.hash(seed)
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
@@ -62,7 +68,7 @@ func TestRouterDeterministic(t *testing.T) {
 	defer c.Close()
 
 	for i, f := range flows {
-		key := flowKeySeeded(c.seed, f)
+		key := flowKeyOf(c.seed, f)
 		first := c.routeOrder(key)
 		if len(first) != 4 {
 			t.Fatalf("routeOrder returned %d slots, want 4", len(first))
@@ -85,7 +91,7 @@ func TestRouterDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	home := c.routeOrder(flowKeySeeded(c.seed, f))[0]
+	home := c.routeOrder(flowKeyOf(c.seed, f))[0]
 	for _, s := range c.slots {
 		got := s.stats.requests.Load()
 		if s.index == home && got != 5 {
@@ -186,7 +192,7 @@ func TestClusterEjectionAndReadmission(t *testing.T) {
 	defer c.Close()
 
 	f := flows[0]
-	home := c.routeOrder(flowKeySeeded(c.seed, f))[0]
+	home := c.routeOrder(flowKeyOf(c.seed, f))[0]
 	c.InjectReplicaFault(home, func(*grid.Flow) { panic("injected replica fault") })
 
 	// Every request succeeds despite the home replica panicking on each one:
@@ -249,7 +255,7 @@ func TestClusterHedgedRetry(t *testing.T) {
 	defer c.Close()
 
 	f := flows[0]
-	home := c.routeOrder(flowKeySeeded(c.seed, f))[0]
+	home := c.routeOrder(flowKeyOf(c.seed, f))[0]
 	release := make(chan struct{})
 	var once sync.Once
 	c.InjectReplicaFault(home, func(*grid.Flow) {
@@ -366,7 +372,7 @@ func TestClusterLoadFallback(t *testing.T) {
 	defer c.Close()
 
 	f := flows[0]
-	key := flowKeySeeded(c.seed, f)
+	key := flowKeyOf(c.seed, f)
 	home := c.routeOrder(key)[0]
 
 	// Saturate the home queue: hold its worker and fill the queue directly.

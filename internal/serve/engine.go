@@ -15,11 +15,12 @@
 // honors context cancellation — a canceled request is dropped at the next
 // stage boundary and its caller unblocks with the context error.
 //
-// In-flight requests with bitwise-identical fields are coalesced
-// (single-flight): they occupy one batch slot, share one forward pass, and
-// each caller receives its own copy of the result. This is the hot-request
-// pattern — many clients polling a prediction for the same flow state —
-// and it is exact, because inference reads nothing but the field values.
+// Identical requests are deduplicated in front of the pipeline by one keyed
+// flight-plus-cache table (memo, DESIGN.md §12): concurrent ones elect a
+// leader and the rest wait on its flight, later ones are served from the
+// retained answer when WithCache gives the table a byte budget. Each caller
+// receives its own deep copy, and the answer is exact, because the LR solve
+// and inference are deterministic functions of the bytes the key covers.
 //
 // Batched outputs are bit-identical to direct core.Model inference: the GEMM
 // accumulates over the depth dimension in the same order regardless of how
@@ -28,14 +29,14 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"time"
-
-	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"adarnet/internal/core"
 	"adarnet/internal/geometry"
@@ -72,10 +73,12 @@ type config struct {
 
 	// Internal plumbing, set by the cluster when it builds replicas: slot-
 	// stable counters shared across replica generations (so labeled metrics
-	// and health deltas survive a replacement), and a pre-frozen float32
-	// model so a replacement replica never pays the freeze again.
+	// and health deltas survive a replacement), a pre-frozen float32 model so
+	// a replacement replica never pays the freeze again, and the fleet's one
+	// solve gate (the CPUs it rations are the process's, not a replica's).
 	sharedStats *counters
 	frozen      *core.Model32
+	gate        *solveGate
 }
 
 // newConfig applies opts over the defaults shared by New and NewCluster.
@@ -154,8 +157,9 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithQueueDepth bounds the submission queue; a full queue rejects new
-// requests with ErrQueueFull (default 64).
+// WithQueueDepth bounds the submission queue and the number of requests
+// waiting for an LR-solve slot; a full queue rejects new requests with
+// ErrQueueFull (default 64).
 func WithQueueDepth(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -190,11 +194,13 @@ func WithPrecision(p Precision) Option {
 	}
 }
 
-// WithCache enables the content-addressed prediction cache with a total
-// byte budget (default disabled). Identical inputs recurring over time are
-// answered from memory — bypassing the queue and the forward pass entirely,
-// bit-identical on both precision paths — with LRU eviction keeping the
-// resident set under the budget. See DESIGN.md §12.
+// WithCache gives the request-deduplication table a total byte budget for
+// retaining finished answers (default 0: concurrent identical requests still
+// share one computation, but nothing is kept). Identical inputs recurring
+// over time are then answered from memory — Predict skips the LR solve and
+// the forward pass, PredictFlow the queue and the forward pass, bit-identical
+// on both precision paths — with LRU eviction keeping the resident set under
+// the budget. See DESIGN.md §12.
 func WithCache(bytes int64) Option {
 	return func(c *config) {
 		if bytes > 0 {
@@ -324,14 +330,13 @@ type Engine struct {
 	model32 *core.Model32
 	cfg     config
 
-	// cache is the content-addressed prediction cache, non-nil iff the
-	// engine was built with WithCache. Hits bypass the queue and the
-	// forward pass; misses flow through the pipeline and populate it on
-	// reply. cacheSeed folds the refinement parameters (patch size, bins,
-	// level cap, precision) into every cache key so engines with different
-	// parameters can never be confused for one another.
-	cache     *flowCache
-	cacheSeed uint64
+	// memo deduplicates identical requests in both key spaces (case keys in
+	// Predict, flow keys in PredictFlow): flights always, retention within
+	// the WithCache budget. seed folds the refinement parameters into every
+	// key (memoSeed). gate rations the LR solves of Predict's flight leaders.
+	memo *memo
+	seed uint64
+	gate *solveGate
 
 	queue   chan *request   // bounded submission queue
 	batches chan []*request // unbuffered batcher→worker handoff
@@ -393,11 +398,17 @@ func newEngine(m *core.Model, cfg config) (*Engine, error) {
 		cfg:     cfg,
 		logger:  cfg.logger,
 		stats:   cfg.sharedStats,
+		memo:    newMemo(cfg.cacheBytes, cfg.negTTL),
+		seed:    memoSeed(m.Cfg, &cfg),
+		gate:    cfg.gate,
 		queue:   make(chan *request, cfg.queueDepth),
 		batches: make(chan []*request),
 	}
 	if e.stats == nil {
 		e.stats = &counters{}
+	}
+	if e.gate == nil {
+		e.gate = newSolveGate(cfg.queueDepth)
 	}
 	if cfg.precision == Float32 {
 		if cfg.frozen != nil {
@@ -409,10 +420,6 @@ func newEngine(m *core.Model, cfg config) (*Engine, error) {
 			}
 			e.model32 = fm
 		}
-	}
-	if cfg.cacheBytes > 0 {
-		e.cache = newFlowCache(cfg.cacheBytes, cfg.negTTL)
-		e.cacheSeed = cacheSeed(m.Cfg, &cfg)
 	}
 	if cfg.metrics != nil {
 		e.RegisterMetrics(cfg.metrics)
@@ -433,6 +440,12 @@ func (e *Engine) Precision() Precision {
 	return Float64
 }
 
+func (e *Engine) isClosed() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.closed
+}
+
 // Close drains the pipeline and stops the engine: in-flight requests finish,
 // subsequent submissions fail with ErrEngineClosed. Close is idempotent.
 func (e *Engine) Close() error {
@@ -445,52 +458,89 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	e.wg.Wait()
-	// Invalidate the prediction cache: a closed engine's results must not
-	// outlive it, and the byte budget is released immediately.
-	if e.cache != nil {
-		e.cache.purge()
-	}
+	// A closed engine's results must not outlive it, and the byte budget is
+	// released immediately.
+	e.memo.purge()
 	return nil
 }
 
-// Predict builds the case's LR grid, runs the physics solver to produce the
-// model input (in the caller's goroutine — the solve is per-request work),
-// then submits the field for batched inference. With the cache enabled, the
-// unsolved initial state is probed first: a previous identical case whose
-// LR solve diverged answers immediately from the negative cache instead of
-// burning solver iterations to rediscover the same NaN.
+// Predict builds the case's LR grid and answers it under its case key: a
+// retained answer or another request's open flight if there is one,
+// otherwise — as the flight's leader, in the caller's goroutine — the LR
+// solve that produces the model input and a batched forward pass.
 func (e *Engine) Predict(ctx context.Context, c *geometry.Case) (*core.Inference, error) {
 	lr := c.Build()
-	if e.cache == nil {
-		if err := solveLR(ctx, lr, e.cfg.solverOpt); err != nil {
-			return nil, err
-		}
-		return e.PredictFlow(ctx, lr)
-	}
-	// countMiss=false: this probe and the post-solve PredictFlow lookup are
-	// one logical request; only the latter counts toward the miss ratio.
-	if inf, err, ok := e.cacheLookup(ctx, lr, false); ok {
-		return inf, err
-	}
-	key := e.cacheKey(lr)
-	snap := snapFlow(lr) // the solve mutates lr in place
-	if err := solveLR(ctx, lr, e.cfg.solverOpt); err != nil {
-		if errors.Is(err, solver.ErrDiverged) {
-			e.cache.putNegative(key, snap, err)
-		}
-		return nil, err
-	}
-	return e.PredictFlow(ctx, lr)
+	id := caseIdent(lr)
+	return e.predictCase(ctx, id.hash(e.seed), id, lr, e.submit)
 }
 
-// solveLR runs the physics solver that produces the model input, recording
-// an lr_solve span when the context carries a recording trace. Shared by
-// Engine.Predict and Cluster.Predict.
-func solveLR(ctx context.Context, lr *grid.Flow, opt solver.Options) error {
+// predictCase is Predict for both serving shapes: the engine's own, and a
+// Cluster's on the case's home replica. The leader solves under the solve
+// gate and hands the solved field to forward — straight to the queue, not
+// through the flow key space, so a request leaves one entry behind, not two.
+func (e *Engine) predictCase(ctx context.Context, key uint64, id ident, lr *grid.Flow,
+	forward func(context.Context, *grid.Flow) (*core.Inference, error)) (*core.Inference, error) {
+	return e.answer(ctx, key, id, func(ctx context.Context) (*core.Inference, error) {
+		if err := e.solve(ctx, lr); err != nil {
+			return nil, err
+		}
+		return forward(ctx, lr)
+	})
+}
+
+// solveGate bounds the LR solves, which run on callers' goroutines outside
+// the queue: GOMAXPROCS at a time (a solve is CPU-bound and, at serving
+// grids, serial), at most depth more waiting, the rest shed.
+type solveGate struct {
+	slots   chan struct{}
+	waiting atomic.Int64
+	depth   int64
+}
+
+func newSolveGate(depth int) *solveGate {
+	return &solveGate{slots: make(chan struct{}, runtime.GOMAXPROCS(0)), depth: int64(depth)}
+}
+
+func (g *solveGate) acquire(ctx context.Context) error {
+	select {
+	case g.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	if g.waiting.Add(1) > g.depth {
+		g.waiting.Add(-1)
+		return fmt.Errorf("serve: solve (%d waiting): %w", g.depth, ErrQueueFull)
+	}
+	defer g.waiting.Add(-1)
+	select {
+	case g.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g *solveGate) release() { <-g.slots }
+
+// solve runs the LR solve of a flight leader in place on lr, behind the
+// solve gate. The solve_wait and lr_solve spans share their clock reads with
+// each other and with the solve-wait histogram.
+func (e *Engine) solve(ctx context.Context, lr *grid.Flow) error {
 	sp := obs.SpanFromContext(ctx)
+	waitStart := time.Now()
+	if err := e.gate.acquire(ctx); err != nil {
+		if errors.Is(err, ErrQueueFull) {
+			e.stats.rejected.Add(1)
+		}
+		return err
+	}
+	defer e.gate.release()
 	start := time.Now()
-	_, err := solver.Solve(ctx, lr, opt)
+	e.stats.solveWait.ObserveDuration(start.Sub(waitStart))
+	e.stats.lrSolves.Add(1)
+	_, err := solver.Solve(ctx, lr, e.cfg.solverOpt)
 	if sp.Recording() {
+		sp.Child("solve_wait", waitStart, start)
 		c := sp.StartChildAt("lr_solve", start)
 		c.SetError(err)
 		c.End()
@@ -498,23 +548,74 @@ func solveLR(ctx context.Context, lr *grid.Flow, opt solver.Options) error {
 	return err
 }
 
-// PredictFlow submits a solved LR flow field for batched inference and
-// blocks until the result, a queue rejection, or ctx cancellation. The field
-// is read, not retained. With the cache enabled, a hit bypasses the queue
-// and the forward pass entirely and returns a private copy of the memoized
-// result (bit-identical to recomputing it); only misses enter the pipeline.
+// PredictFlow answers a solved LR flow field under its flow key: a retained
+// answer or an open flight if there is one, otherwise a batched forward
+// pass. The field is read, not retained.
 func (e *Engine) PredictFlow(ctx context.Context, lr *grid.Flow) (*core.Inference, error) {
+	id := flowIdent(lr)
+	return e.answer(ctx, id.hash(e.seed), id, func(ctx context.Context) (*core.Inference, error) {
+		return e.submit(ctx, lr)
+	})
+}
+
+// answer serves one request through the table and records how it went. A
+// hit or a follower gets a private copy, bit-identical to recomputing; only
+// a leader runs lead. A closed engine serves neither from its queue nor from
+// its table. With a recording trace in ctx the outcome becomes a cache_hit,
+// flight_wait or (leader, retaining table) cache_probe span from the same
+// clock reads as the matching histogram.
+func (e *Engine) answer(ctx context.Context, key uint64, id ident,
+	lead func(context.Context) (*core.Inference, error)) (*core.Inference, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		if inf, err, ok := e.cacheLookup(ctx, lr, true); ok {
-			return inf, err
-		}
+	start := time.Now()
+	if e.isClosed() {
+		return nil, fmt.Errorf("serve: submit: %w", ErrEngineClosed)
 	}
+	sp := obs.SpanFromContext(ctx)
+	inf, err, how := e.memo.do(ctx, key, &id, func() (*core.Inference, error) {
+		if sp.Recording() && e.memo.retains() {
+			sp.Child("cache_probe", start, time.Now(), obs.Bool("hit", false))
+		}
+		return lead(ctx)
+	})
+	if how == led {
+		return inf, err
+	}
+	end := time.Now()
+	d := end.Sub(start)
+	if how == followed {
+		e.stats.flightWait.ObserveDuration(d)
+		if sp.Recording() {
+			sp.Child("flight_wait", start, end, obs.String("key", id.space.String()))
+		}
+		if err != nil {
+			return nil, err
+		}
+		e.stats.coalesced.Add(1)
+		inf.Elapsed = d
+		return inf, nil
+	}
+	e.stats.cacheHit.ObserveDuration(d)
+	obs.RequestNoteFrom(ctx).SetCacheHit()
+	if sp.Recording() {
+		e.stats.cacheHitEx.Observe(d.Nanoseconds(), sp.Trace())
+		sp.Child("cache_hit", start, end, obs.String("key", id.space.String()), obs.Bool("negative", err != nil))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: negative cache: %w", err)
+	}
+	inf.Elapsed = d
+	return inf, nil
+}
+
+// submit enqueues a solved field for a batched forward pass and blocks until
+// the result, a queue rejection, or ctx cancellation.
+func (e *Engine) submit(ctx context.Context, lr *grid.Flow) (*core.Inference, error) {
 	enqueued := time.Now()
 	req := &request{ctx: ctx, flow: lr, enqueued: enqueued, done: make(chan response, 1)}
 	// The engine span starts at the same clock read as the e2e histogram's
@@ -545,7 +646,7 @@ func (e *Engine) PredictFlow(ctx context.Context, lr *grid.Flow) (*core.Inferenc
 	e.stats.requests.Add(1)
 
 	select {
-	case resp := <-e.awaitDone(req):
+	case resp := <-req.done:
 		return resp.inf, resp.err
 	case <-ctx.Done():
 		// The worker will still reply into the buffered channel and skip the
@@ -554,10 +655,6 @@ func (e *Engine) PredictFlow(ctx context.Context, lr *grid.Flow) (*core.Inferenc
 		return nil, ctx.Err()
 	}
 }
-
-// awaitDone exists so the select above reads naturally; done is buffered, so
-// the abandoned-request path leaks nothing.
-func (e *Engine) awaitDone(req *request) chan response { return req.done }
 
 // endSpan closes a request's engine span on a path that never entered the
 // pipeline (closed engine, full queue).
@@ -569,11 +666,11 @@ func (e *Engine) endSpan(req *request, err error) {
 	req.span.End()
 }
 
-// cacheSeed folds the engine's refinement parameters into the hash seed for
-// cache keys: two engines differing in patch size, bin count, level cap, or
-// precision produce different predictions for the same field, so their keys
+// memoSeed folds the engine's refinement parameters into the hash seed of
+// every key: two engines differing in patch size, bin count, level cap, or
+// precision produce different predictions for the same input, so their keys
 // must never coincide.
-func cacheSeed(mc core.Config, cfg *config) uint64 {
+func memoSeed(mc core.Config, cfg *config) uint64 {
 	h := fnvOffset
 	for _, v := range [...]uint64{
 		uint64(mc.PatchH), uint64(mc.PatchW), uint64(mc.Bins),
@@ -582,50 +679,6 @@ func cacheSeed(mc core.Config, cfg *config) uint64 {
 		h = fnvMix(h, v)
 	}
 	return h
-}
-
-// cacheKey is flowKey seeded with the engine's refinement parameters.
-func (e *Engine) cacheKey(f *grid.Flow) uint64 { return flowKeySeeded(e.cacheSeed, f) }
-
-// cacheLookup consults the prediction cache (caller guarantees it is
-// enabled). ok=true carries either a hit — a private copy of the memoized
-// inference, or the memoized divergence error — or ErrEngineClosed: a
-// closed engine must not serve from its cache any more than from its queue.
-// With a recording trace in ctx, the probe becomes a cache_probe or
-// cache_hit span from the same clock reads the cacheHit histogram observes,
-// and a hit marks the request note for the trace ring.
-func (e *Engine) cacheLookup(ctx context.Context, lr *grid.Flow, countMiss bool) (*core.Inference, error, bool) {
-	start := time.Now()
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
-		return nil, fmt.Errorf("serve: submit: %w", ErrEngineClosed), true
-	}
-	inf, cerr, ok := e.cache.get(e.cacheKey(lr), lr, countMiss)
-	sp := obs.SpanFromContext(ctx)
-	if !ok {
-		if sp.Recording() {
-			sp.Child("cache_probe", start, time.Now(), obs.Bool("hit", false))
-		}
-		return nil, nil, false
-	}
-	end := time.Now()
-	d := end.Sub(start)
-	e.stats.cacheHit.ObserveDuration(d)
-	obs.RequestNoteFrom(ctx).SetCacheHit()
-	if cerr != nil {
-		if sp.Recording() {
-			sp.Child("cache_hit", start, end, obs.Bool("negative", true))
-		}
-		return nil, fmt.Errorf("serve: negative cache: %w", cerr), true
-	}
-	if sp.Recording() {
-		e.stats.cacheHitEx.Observe(d.Nanoseconds(), sp.Trace())
-		sp.Child("cache_hit", start, end)
-	}
-	inf.Elapsed = d
-	return inf, nil, true
 }
 
 // batcher collects queued requests into batches, flushing when MaxBatch is

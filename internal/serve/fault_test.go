@@ -173,8 +173,9 @@ func TestCoalescedPanicContainment(t *testing.T) {
 	}
 	// All clones of base[0] are poisoned; base[1] is healthy.
 	poison := base[0]
+	poisonID := flowIdent(poison)
 	e.setInject(func(f *grid.Flow) {
-		if sameFields(f, poison) {
+		if id := flowIdent(f); id.equal(&poisonID) {
 			panic("poisoned field")
 		}
 	})

@@ -73,9 +73,7 @@ type ReplicaHealth struct {
 // Health reports the engine as a single always-routable replica (until
 // closed). Clusters derive richer per-slot reports from the same signals.
 func (e *Engine) Health() Health {
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
+	closed := e.isClosed()
 	state := StateReady
 	if closed {
 		state = StateClosed

@@ -110,14 +110,11 @@ func (c *Cluster) routeOrder(key uint64) []int {
 	return ready
 }
 
-// homeEngine is the engine that currently owns key — the pre-solve
-// negative-cache probe target.
+// homeEngine is the engine that currently owns key — the replica whose
+// table answers a Predict for it. routeOrder never returns an empty order
+// and a slot always holds an engine.
 func (c *Cluster) homeEngine(key uint64) *Engine {
-	order := c.routeOrder(key)
-	if len(order) == 0 {
-		return nil
-	}
-	return c.slots[order[0]].engine()
+	return c.slots[c.routeOrder(key)[0]].engine()
 }
 
 // retriable reports whether a replica failure may succeed on another
@@ -128,12 +125,17 @@ func retriable(err error) bool {
 	return errors.Is(err, ErrInternal) || errors.Is(err, ErrEngineClosed) || errors.Is(err, ErrQueueFull)
 }
 
+// replicaCall is how the router hands a field to a replica: PredictFlow
+// (through the replica's flow key space) or submit (straight to its queue,
+// for a Predict whose answer the case key space retains).
+type replicaCall func(*Engine, context.Context, *grid.Flow) (*core.Inference, error)
+
 // tryOrder submits lr to each slot in order until a success or a
 // non-retriable error. With a recording trace in ctx (the route span),
 // every submission becomes an attempt child span naming its replica — a
 // failed-then-rerouted request shows the whole walk — and the replica that
 // answered is stamped on the request note for the trace ring.
-func (c *Cluster) tryOrder(ctx context.Context, order []int, lr *grid.Flow, hedged bool) (*core.Inference, error) {
+func (c *Cluster) tryOrder(ctx context.Context, order []int, lr *grid.Flow, call replicaCall, hedged bool) (*core.Inference, error) {
 	sp := obs.SpanFromContext(ctx)
 	var lastErr error
 	for i, idx := range order {
@@ -154,7 +156,7 @@ func (c *Cluster) tryOrder(ctx context.Context, order []int, lr *grid.Flow, hedg
 			asp = sp.StartChild("attempt", attrs...)
 			actx = obs.ContextWithSpan(ctx, asp)
 		}
-		inf, err := e.PredictFlow(actx, lr)
+		inf, err := call(e, actx, lr)
 		if err == nil {
 			obs.RequestNoteFrom(ctx).SetReplica(idx)
 			asp.End()
@@ -212,32 +214,32 @@ type attemptResult struct {
 // span recording the chosen home replica, whether load fallback moved the
 // request off its ring home, and the hedge outcome; the per-replica
 // attempts hang off it as children.
-func (c *Cluster) do(ctx context.Context, key uint64, lr *grid.Flow) (*core.Inference, error) {
+func (c *Cluster) do(ctx context.Context, key uint64, lr *grid.Flow, call replicaCall) (*core.Inference, error) {
 	order := c.routeOrder(key)
 	if sp := obs.SpanFromContext(ctx); sp.Recording() && len(order) > 0 {
 		rsp := sp.StartChild("route",
 			obs.Int("home", int64(order[0])),
 			obs.Int("candidates", int64(len(order))),
 			obs.Bool("off_home", order[0] != c.ring.order(key)[0]))
-		inf, err := c.doRouted(obs.ContextWithSpan(ctx, rsp), order, lr)
+		inf, err := c.doRouted(obs.ContextWithSpan(ctx, rsp), order, lr, call)
 		rsp.SetError(err)
 		rsp.End()
 		return inf, err
 	}
-	return c.doRouted(ctx, order, lr)
+	return c.doRouted(ctx, order, lr, call)
 }
 
-func (c *Cluster) doRouted(ctx context.Context, order []int, lr *grid.Flow) (*core.Inference, error) {
+func (c *Cluster) doRouted(ctx context.Context, order []int, lr *grid.Flow, call replicaCall) (*core.Inference, error) {
 	hedge := c.hedgeDelay()
 	if hedge <= 0 || len(order) < 2 {
-		return c.tryOrder(ctx, order, lr, false)
+		return c.tryOrder(ctx, order, lr, call, false)
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attemptResult, 2)
 	launch := func(ord []int, hedged bool) {
 		go func() {
-			inf, err := c.tryOrder(actx, ord, lr, hedged)
+			inf, err := c.tryOrder(actx, ord, lr, call, hedged)
 			results <- attemptResult{inf: inf, err: err, hedged: hedged}
 		}()
 	}

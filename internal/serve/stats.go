@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -21,16 +22,19 @@ type counters struct {
 	completed atomic.Uint64 // replies delivered with a result
 	canceled  atomic.Uint64 // callers that gave up or arrived dead
 	rejected  atomic.Uint64 // queue-full rejections
-	coalesced atomic.Uint64 // requests served from another request's forward pass
+	coalesced atomic.Uint64 // flight followers: requests served from another request's computation
+	lrSolves  atomic.Uint64 // LR solves started by Predict's flight leaders
 	panics    atomic.Uint64 // panics recovered at a worker boundary
 	retried   atomic.Uint64 // individual re-runs after a batch-level panic
 
-	queueWait obs.Histogram // submit → batch pickup, ns, per request
-	forward   obs.Histogram // batched forward pass, ns, per batch group
-	assemble  obs.Histogram // cap/assemble/invert + demux, ns, per batch group
-	e2e       obs.Histogram // submit → reply delivered, ns, per completed request
-	occupancy obs.Histogram // requests per flushed batch
-	cacheHit  obs.Histogram // cache lookup → copied reply, ns, per cache hit
+	queueWait  obs.Histogram // submit → batch pickup, ns, per request
+	forward    obs.Histogram // batched forward pass, ns, per batch group
+	assemble   obs.Histogram // cap/assemble/invert + demux, ns, per batch group
+	e2e        obs.Histogram // submit → reply delivered, ns, per completed request
+	occupancy  obs.Histogram // requests per flushed batch
+	cacheHit   obs.Histogram // cache lookup → copied reply, ns, per cache hit
+	flightWait obs.Histogram // lookup → leader's result copied (or own ctx dead), ns, per follower
+	solveWait  obs.Histogram // wait for an LR-solve slot, ns, per admitted leader
 
 	// Stage exemplars: per histogram bucket, the trace ID of the slowest
 	// observation — so an EngineStats tail can name the trace to pull from
@@ -63,7 +67,8 @@ type EngineStats struct {
 	Canceled  uint64 // requests dropped by context cancellation
 	Rejected  uint64 // submissions shed with ErrQueueFull
 	Batches   uint64 // forward-pass batches dispatched
-	Coalesced uint64 // requests that shared an identical in-flight request's forward pass
+	Coalesced uint64 // flight followers: requests that shared an identical in-flight request's computation
+	LRSolves  uint64 // LR solves run by Predict (one per flight leader; hits and followers run none)
 
 	// Panics counts panics recovered at worker boundaries — each one would
 	// have killed the process before fault containment. Nonzero Panics with
@@ -75,13 +80,16 @@ type EngineStats struct {
 	// request succeeding).
 	Retried uint64
 
-	// Prediction-cache counters (DESIGN.md §12); all zero without
-	// WithCache. Cache hits bypass the queue, so they appear here and in
-	// the CacheHit histogram rather than in Requests/Completed/E2E. The
-	// same atomics feed the adarnet_serve_cache_* series on /metrics, so
-	// the two views can never disagree.
-	CacheHits         uint64 // predictions served from the cache
-	CacheMisses       uint64 // lookups that fell through to the pipeline
+	// Retention counters of the deduplication table (DESIGN.md §12); all
+	// zero without WithCache. Cache hits bypass the queue, so they appear
+	// here and in the CacheHit histogram rather than in
+	// Requests/Completed/E2E. The same atomics feed the
+	// adarnet_serve_cache_* series on /metrics, so the two views can never
+	// disagree.
+	CacheHits         uint64 // predictions served from the cache: CacheHitsCase + CacheHitsFlow
+	CacheHitsCase     uint64 // Predict answered under its case key (no solve, no forward pass)
+	CacheHitsFlow     uint64 // PredictFlow answered under its flow key (no forward pass)
+	CacheMisses       uint64 // lookups that found no entry (flight leaders and followers)
 	CacheNegativeHits uint64 // cached ErrDiverged answers
 	CacheEvicted      uint64 // entries evicted at the byte budget
 	CacheBytes        int64  // resident cache bytes
@@ -101,6 +109,10 @@ type EngineStats struct {
 	// MeanCacheHit is the average lookup → copied-reply latency per cache
 	// hit — the cost of serving a memoized prediction.
 	MeanCacheHit time.Duration
+	// MeanFlightWait is the average time a follower waited on its leader.
+	MeanFlightWait time.Duration
+	// MeanSolveWait is the average time a leader waited for a solve slot.
+	MeanSolveWait time.Duration
 
 	// Per-stage latency tails, from the same histograms that feed the means
 	// and the /metrics exposition. E2E covers submit → reply for completed
@@ -139,7 +151,7 @@ func tailOf(s obs.Snapshot, ex obs.Exemplar) Tail {
 // a single engine's. The exemplar fields keep the max-valued exemplar seen
 // across the merged sets.
 type stageSnaps struct {
-	queueWait, forward, assemble, e2e, occupancy, cacheHit obs.Snapshot
+	queueWait, forward, assemble, e2e, occupancy, cacheHit, flightWait, solveWait obs.Snapshot
 
 	queueWaitEx, forwardEx, assembleEx, e2eEx, cacheHitEx obs.Exemplar
 }
@@ -153,6 +165,7 @@ func (c *counters) addTo(s *EngineStats, snaps *stageSnaps) {
 	s.Canceled += c.canceled.Load()
 	s.Rejected += c.rejected.Load()
 	s.Coalesced += c.coalesced.Load()
+	s.LRSolves += c.lrSolves.Load()
 	s.Panics += c.panics.Load()
 	s.Retried += c.retried.Load()
 	snaps.queueWait.Merge(c.queueWait.Snapshot())
@@ -161,6 +174,8 @@ func (c *counters) addTo(s *EngineStats, snaps *stageSnaps) {
 	snaps.e2e.Merge(c.e2e.Snapshot())
 	snaps.occupancy.Merge(c.occupancy.Snapshot())
 	snaps.cacheHit.Merge(c.cacheHit.Snapshot())
+	snaps.flightWait.Merge(c.flightWait.Snapshot())
+	snaps.solveWait.Merge(c.solveWait.Snapshot())
 	snaps.queueWaitEx = obs.MaxExemplar(snaps.queueWaitEx, c.queueWaitEx.Slowest())
 	snaps.forwardEx = obs.MaxExemplar(snaps.forwardEx, c.forwardEx.Slowest())
 	snaps.assembleEx = obs.MaxExemplar(snaps.assembleEx, c.assembleEx.Slowest())
@@ -168,13 +183,11 @@ func (c *counters) addTo(s *EngineStats, snaps *stageSnaps) {
 	snaps.cacheHitEx = obs.MaxExemplar(snaps.cacheHitEx, c.cacheHitEx.Slowest())
 }
 
-// addCacheTo accumulates a prediction cache's counters into s; nil-safe so
-// cacheless engines contribute zeros.
-func addCacheTo(s *EngineStats, c *flowCache) {
-	if c == nil {
-		return
-	}
-	s.CacheHits += c.hits.Load()
+// addCacheTo accumulates a table's retention counters into s.
+func addCacheTo(s *EngineStats, c *memo) {
+	s.CacheHitsCase += c.hits[caseSpace].Load()
+	s.CacheHitsFlow += c.hits[flowSpace].Load()
+	s.CacheHits = s.CacheHitsCase + s.CacheHitsFlow
 	s.CacheMisses += c.misses.Load()
 	s.CacheNegativeHits += c.negHits.Load()
 	s.CacheEvicted += c.evicted.Load()
@@ -192,6 +205,8 @@ func finishStats(s *EngineStats, snaps *stageSnaps) {
 	s.MeanAssemble = time.Duration(snaps.assemble.Mean())
 	s.MeanE2E = time.Duration(snaps.e2e.Mean())
 	s.MeanCacheHit = time.Duration(snaps.cacheHit.Mean())
+	s.MeanFlightWait = time.Duration(snaps.flightWait.Mean())
+	s.MeanSolveWait = time.Duration(snaps.solveWait.Mean())
 	s.QueueWaitTail = tailOf(snaps.queueWait, snaps.queueWaitEx)
 	s.ForwardTail = tailOf(snaps.forward, snaps.forwardEx)
 	s.AssembleTail = tailOf(snaps.assemble, snaps.assembleEx)
@@ -211,15 +226,15 @@ func (e *Engine) Stats() EngineStats {
 	}
 	var snaps stageSnaps
 	e.stats.addTo(&s, &snaps)
-	addCacheTo(&s, e.cache)
+	addCacheTo(&s, e.memo)
 	finishStats(&s, &snaps)
 	return s
 }
 
 // String renders the snapshot for logs.
 func (s EngineStats) String() string {
-	return fmt.Sprintf("precision=%s requests=%d completed=%d canceled=%d rejected=%d batches=%d coalesced=%d panics=%d retried=%d occupancy=%.2f queue_wait=%v forward=%v assemble=%v cache_hits=%d cache_misses=%d cache_evicted=%d cache_bytes=%d",
-		s.Precision, s.Requests, s.Completed, s.Canceled, s.Rejected, s.Batches, s.Coalesced, s.Panics, s.Retried,
+	return fmt.Sprintf("precision=%s requests=%d completed=%d canceled=%d rejected=%d batches=%d coalesced=%d lr_solves=%d panics=%d retried=%d occupancy=%.2f queue_wait=%v forward=%v assemble=%v cache_hits=%d cache_misses=%d cache_evicted=%d cache_bytes=%d",
+		s.Precision, s.Requests, s.Completed, s.Canceled, s.Rejected, s.Batches, s.Coalesced, s.LRSolves, s.Panics, s.Retried,
 		s.MeanBatchOccupancy, s.MeanQueueWait, s.MeanForward, s.MeanAssemble,
 		s.CacheHits, s.CacheMisses, s.CacheEvicted, s.CacheBytes)
 }
@@ -244,7 +259,9 @@ func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engin
 	if reg == nil {
 		return
 	}
-	name := func(base string) string { return obs.Labeled(base, labels...) }
+	name := func(base string, kv ...string) string {
+		return obs.Labeled(base, append(slices.Clip(labels), kv...)...)
+	}
 	reg.CounterFunc(name("adarnet_serve_requests_total"), "Submissions accepted into the queue.",
 		func() float64 { return float64(c.requests.Load()) })
 	reg.CounterFunc(name("adarnet_serve_completed_total"), "Predictions delivered.",
@@ -253,8 +270,10 @@ func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engin
 		func() float64 { return float64(c.canceled.Load()) })
 	reg.CounterFunc(name("adarnet_serve_rejected_total"), "Submissions shed with ErrQueueFull.",
 		func() float64 { return float64(c.rejected.Load()) })
-	reg.CounterFunc(name("adarnet_serve_coalesced_total"), "Requests served from another request's forward pass.",
+	reg.CounterFunc(name("adarnet_serve_coalesced_total"), "Flight followers: requests served from an identical in-flight request's computation.",
 		func() float64 { return float64(c.coalesced.Load()) })
+	reg.CounterFunc(name("adarnet_serve_lr_solves_total"), "LR solves run by Predict's flight leaders.",
+		func() float64 { return float64(c.lrSolves.Load()) })
 	reg.CounterFunc(name("adarnet_serve_panics_total"), "Panics recovered at worker boundaries.",
 		func() float64 { return float64(c.panics.Load()) })
 	reg.CounterFunc(name("adarnet_serve_retried_total"), "Individual re-runs after a batch-level panic.",
@@ -266,41 +285,46 @@ func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engin
 			}
 			return 0
 		})
-	// Cache series read the flowCache atomics through a nil guard so the
-	// names are stable whether or not the engine was built with WithCache;
-	// EngineStats reads the same atomics, so the views always agree.
-	cacheVal := func(read func(*flowCache) float64) func() float64 {
+	// Cache series read the live engine's table atomics; EngineStats reads
+	// the same ones, so the views always agree. Hits carry the key space
+	// that answered (key="case" skipped a solve, key="flow" a forward pass).
+	cacheVal := func(read func(*memo) float64) func() float64 {
 		return func() float64 {
 			e := engine()
-			if e == nil || e.cache == nil {
+			if e == nil {
 				return 0
 			}
-			return read(e.cache)
+			return read(e.memo)
 		}
 	}
-	reg.CounterFunc(name("adarnet_serve_cache_hits_total"), "Predictions served from the content-addressed cache.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.hits.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_misses_total"), "Cache lookups that fell through to the batched pipeline.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.misses.Load()) }))
+	for sp := keySpace(0); sp < numKeySpaces; sp++ {
+		reg.CounterFunc(name("adarnet_serve_cache_hits_total", "key", sp.String()),
+			"Predictions served from the content-addressed cache, by key space.",
+			cacheVal(func(m *memo) float64 { return float64(m.hits[sp].Load()) }))
+	}
+	reg.CounterFunc(name("adarnet_serve_cache_misses_total"), "Cache lookups that found no entry and led or followed a flight.",
+		cacheVal(func(m *memo) float64 { return float64(m.misses.Load()) }))
 	reg.CounterFunc(name("adarnet_serve_cache_negative_hits_total"), "Cached ErrDiverged answers served without re-solving.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.negHits.Load()) }))
+		cacheVal(func(m *memo) float64 { return float64(m.negHits.Load()) }))
 	reg.CounterFunc(name("adarnet_serve_cache_evicted_total"), "Cache entries evicted at the byte budget.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.evicted.Load()) }))
+		cacheVal(func(m *memo) float64 { return float64(m.evicted.Load()) }))
 	reg.GaugeFunc(name("adarnet_serve_cache_bytes"), "Resident prediction-cache bytes.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.bytes.Load()) }))
+		cacheVal(func(m *memo) float64 { return float64(m.bytes.Load()) }))
 	reg.GaugeFunc(name("adarnet_serve_cache_entries"), "Resident prediction-cache entries.",
-		cacheVal(func(fc *flowCache) float64 { return float64(fc.entries.Load()) }))
+		cacheVal(func(m *memo) float64 { return float64(m.entries.Load()) }))
 	reg.GaugeFunc(name("adarnet_serve_cache_enabled"), "1 when the engine was built with WithCache, 0 otherwise.",
-		func() float64 {
-			if e := engine(); e != nil && e.cache != nil {
+		cacheVal(func(m *memo) float64 {
+			if m.retains() {
 				return 1
 			}
 			return 0
-		})
+		}))
 	reg.AttachHistogram(name("adarnet_serve_queue_wait_seconds"), "Submit to batch-pickup wait per request.", 1e-9, &c.queueWait)
 	reg.AttachHistogram(name("adarnet_serve_forward_seconds"), "Batched forward-pass time per batch group.", 1e-9, &c.forward)
 	reg.AttachHistogram(name("adarnet_serve_assemble_seconds"), "Assembly/demux time per batch group.", 1e-9, &c.assemble)
 	reg.AttachHistogram(name("adarnet_serve_e2e_seconds"), "Submit to reply latency per completed request.", 1e-9, &c.e2e)
 	reg.AttachHistogram(name("adarnet_serve_batch_occupancy"), "Requests per flushed batch.", 1, &c.occupancy)
 	reg.AttachHistogram(name("adarnet_serve_cache_hit_seconds"), "Lookup to copied-reply latency per cache hit.", 1e-9, &c.cacheHit)
+	reg.AttachHistogram(name("adarnet_serve_flight_wait_seconds"), "Time a follower waited on an identical in-flight request.", 1e-9, &c.flightWait)
+	reg.AttachHistogram(name("adarnet_serve_solve_wait_seconds"), "Time a flight leader waited for an LR-solve slot.", 1e-9, &c.solveWait)
 }

@@ -11,9 +11,14 @@
 // in pseudo-time to steady state. Outflow carries a global mass correction
 // so the all-Neumann Poisson problem stays compatible.
 //
-// Parallelism follows the paper's MPI layout in miniature: sweeps are strip-
-// decomposed across worker goroutines (tensor.ParallelFor), and the red-black
-// ordering makes the SOR sweeps race-free.
+// Parallelism: sweeps are written strip-decomposed over rows
+// (tensor.ParallelFor, the paper's MPI layout in miniature), and the
+// red-black ordering would make parallel SOR sweeps race-free — but
+// ParallelFor runs a sweep serially while h·32 < 65536, i.e. for any grid
+// below 2048 rows, which is every grid in this tree. A solve is one
+// goroutine's work. Forcing the fan-out on at 64×256 measured slower (238 →
+// 260 ns per cell-iteration): a goroutine dispatch per sweep costs more than
+// the rows it splits.
 package solver
 
 import (
