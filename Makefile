@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet asm-vet vet-deprecated test race race-purego bench-module bench bench-json benchdiff verify
+.PHONY: all build fmt vet asm-vet test race race-purego bench-module bench bench-json benchdiff verify
 
 all: verify
 
@@ -22,13 +22,6 @@ vet:
 asm-vet:
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./...
-
-# First-party callers must use the context-aware entry points; the
-# deprecated non-Context wrappers stay only as compatibility shims for
-# external importers. Fails (with the offending lines) on any hit.
-vet-deprecated:
-	@out=$$(grep -rnE 'adarnet\.(RunE2E|Solve|RunAMR|GenerateDataset)\(' cmd examples internal/jobs internal/bench 2>/dev/null); \
-	if [ -n "$$out" ]; then echo "deprecated non-Context entry points in first-party code:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -63,10 +56,10 @@ bench:
 	$(GO) test ./internal/obs ./internal/tensor ./internal/nn ./internal/serve/... ./internal/core/... -run '^$$' -bench . -benchmem
 
 # Machine-readable benchmark snapshots (BENCH_gemm.json, BENCH_serve.json,
-# BENCH_infer32.json, BENCH_cache.json, BENCH_cluster.json, BENCH_jobs.json,
-# BENCH_trace.json) for regression gating with benchdiff.
+# BENCH_infer32.json, BENCH_cache.json, BENCH_jobs.json, BENCH_trace.json)
+# for regression gating with benchdiff.
 bench-json:
-	$(GO) run ./cmd/adarnet-bench -exp micro,gemm,serve,infer32,cache,cluster,jobs,trace -json-dir .
+	$(GO) run ./cmd/adarnet-bench -exp micro,gemm,serve,infer32,cache,jobs,trace -json-dir .
 
 # Compare two benchmark snapshots; gate on a metric with e.g.
 #   make benchdiff OLD=BENCH_infer32.old.json NEW=BENCH_infer32.json \
@@ -74,9 +67,6 @@ bench-json:
 # or gate the prediction cache's skewed-replay win with
 #   make benchdiff OLD=BENCH_cache.old.json NEW=BENCH_cache.json \
 #     BENCHDIFF_FLAGS='-metric hit_ratio_0.9.speedup -max-regress 10'
-# or gate the cluster scale-out win (4 replicas vs 1 on the hot mix) with
-#   make benchdiff OLD=BENCH_cluster.old.json NEW=BENCH_cluster.json \
-#     BENCHDIFF_FLAGS='-metric replicas_4.speedup -max-regress 10'
 # or gate the job service's submit-to-done and crash-resume overheads with
 #   make benchdiff OLD=BENCH_jobs.old.json NEW=BENCH_jobs.json \
 #     BENCHDIFF_FLAGS='-metric job.overhead_pct -lower-better -max-regress 10'
@@ -93,5 +83,5 @@ BENCHDIFF_FLAGS ?=
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(OLD) $(NEW)
 
-verify: fmt asm-vet vet-deprecated build test bench-module race race-purego
+verify: fmt asm-vet build test bench-module race race-purego
 	@echo verify OK

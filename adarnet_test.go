@@ -17,7 +17,7 @@ import (
 
 func trainTinyModel(t *testing.T) (*Model, []Sample) {
 	t.Helper()
-	samples, err := GenerateDataset(2, 8, 32)
+	samples, err := GenerateDatasetContext(context.Background(), 2, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func trainTinyModel(t *testing.T) (*Model, []Sample) {
 func TestEndToEndPipeline(t *testing.T) {
 	m, _ := trainTinyModel(t)
 	c := ChannelCase(2.5e3, 8, 32)
-	e2e, err := RunE2E(m, c, DefaultSolverOptions())
+	e2e, err := RunE2EContext(context.Background(), m, c, DefaultSolverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestADARNetBeatsAMRSolverOnWork(t *testing.T) {
 	c := ChannelCase(2.5e3, 8, 32)
 	maxLevel := m.Cfg.Bins - 1
 
-	e2e, err := RunE2E(m, c, DefaultSolverOptions())
+	e2e, err := RunE2EContext(context.Background(), m, c, DefaultSolverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultAMRConfig(2, 2)
 	cfg.MaxLevel = maxLevel
-	amrRes, err := RunAMR(c, cfg)
+	amrRes, err := RunAMRContext(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestNonUniformBeatsUniformOnMemory(t *testing.T) {
 }
 
 func TestDatasetFacadeRoundTrip(t *testing.T) {
-	samples, err := GenerateDataset(1, 8, 32)
+	samples, err := GenerateDatasetContext(context.Background(), 1, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 
 // validExps lists every runnable experiment; unknown -exp names are rejected
 // with this list instead of silently running nothing.
-var validExps = []string{"micro", "gemm", "serve", "infer32", "cache", "cluster", "jobs", "trace", "fig1", "fig9", "fig10", "fig11", "table1", "table2"}
+var validExps = []string{"micro", "gemm", "serve", "infer32", "cache", "jobs", "trace", "fig1", "fig9", "fig10", "fig11", "table1", "table2"}
 
 func isValidExp(name string) bool {
 	for _, v := range validExps {
@@ -121,17 +121,6 @@ func main() {
 		}
 		if _, err := bench.CacheJSON(os.Stdout, jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "cache failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["cluster"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_cluster.json")
-		}
-		if _, err := bench.ClusterJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster failed: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println()

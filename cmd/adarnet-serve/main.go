@@ -6,8 +6,8 @@
 //
 //	POST /predict  {"case":"cylinder","re":1e5,"h":16,"w":64}
 //	               → refinement map, composite cells, timing
-//	GET  /healthz  readiness: per-replica health JSON; 503 until at least
-//	               one replica is routable
+//	GET  /healthz  readiness JSON (state, contained panics, queue length,
+//	               p99 latency); 503 once the engine is closed
 //	GET  /stats    engine counters (requests, batches, occupancy, latency
 //	               means and p50/p95/p99 tails, contained panics, cache
 //	               hit/miss/evicted/bytes when -cache-bytes is set)
@@ -78,12 +78,8 @@ func main() {
 	solverIter := flag.Int("solver-max-iter", 12000, "LR-solve iteration cap per request")
 	precision := flag.String("precision", "float64", "inference numeric path: float64 (bit-exact default) | float32 (fused fast path)")
 	gemmKernel := flag.String("gemm-kernel", "auto", "float32 GEMM micro-kernel: auto (best for this CPU) | avx2 | neon | generic (scalar fallback)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed prediction-cache byte budget per replica; 0 disables the cache")
+	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed prediction-cache byte budget; 0 disables the cache")
 	cacheNegTTL := flag.Duration("cache-negative-ttl", 10*time.Second, "lifetime of negative (diverged-solve) cache entries; 0 disables negative caching")
-	replicas := flag.Int("replicas", 1, "engine replicas behind the shard-aware router; 1 serves a single engine")
-	hedge := flag.Duration("hedge", 0, "hedged-retry delay floor (cluster only): second attempt on another replica after max(this, observed p99); 0 disables")
-	healthEvery := flag.Duration("health-interval", 250*time.Millisecond, "replica health-check cadence (cluster only)")
-	ejectPanics := flag.Int("eject-panics", 3, "contained panics per health window before a replica is ejected and replaced (cluster only; 0 disables)")
 	maxDim := flag.Int("max-dim", 256, "largest accepted grid dimension (h or w)")
 	maxBody := flag.Int64("max-body", 1<<20, "request-body byte cap")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables)")
@@ -168,7 +164,7 @@ func main() {
 
 	sopt := solver.DefaultOptions()
 	sopt.MaxIter = *solverIter
-	opts := []serve.Option{
+	engine, err := serve.New(m,
 		serve.WithPrecision(prec),
 		serve.WithMaxBatch(*maxBatch),
 		serve.WithMaxDelay(*maxDelay),
@@ -179,19 +175,7 @@ func main() {
 		serve.WithNegativeTTL(*cacheNegTTL),
 		serve.WithMetrics(obs.Default),
 		serve.WithLogger(logger),
-	}
-	var engine serve.Predictor
-	if *replicas > 1 {
-		opts = append(opts,
-			serve.WithReplicas(*replicas),
-			serve.WithHedge(*hedge),
-			serve.WithHealthInterval(*healthEvery),
-			serve.WithEjectPanics(*ejectPanics),
-		)
-		engine, err = serve.NewCluster(m, opts...)
-	} else {
-		engine, err = serve.New(m, opts...)
-	}
+	)
 	if err != nil {
 		logger.Error("engine start failed", "err", err.Error())
 		os.Exit(1)
@@ -287,7 +271,7 @@ func main() {
 	logger.Info("listening", "addr", *addr, "params", m.ParamCount(),
 		"max_batch", *maxBatch, "workers", *workers, "precision", prec.String(),
 		"gemm_kernel", kernel, "cpu_features", cpu.Summary(),
-		"replicas", *replicas, "cache_bytes", *cacheBytes, "log_format", *logFormat)
+		"cache_bytes", *cacheBytes, "log_format", *logFormat)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listener failed", "err", err.Error())
 		os.Exit(1)

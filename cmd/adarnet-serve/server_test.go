@@ -24,7 +24,7 @@ type stubPredictor struct {
 	inf     *core.Inference
 	err     error
 	block   bool // wait for ctx cancellation instead of answering
-	unready bool // report zero routable replicas from Health
+	unready bool // report a closed engine from Health
 	gotCase *geometry.Case
 }
 
@@ -44,9 +44,9 @@ func (s *stubPredictor) Stats() serve.EngineStats { return serve.EngineStats{Pan
 
 func (s *stubPredictor) Health() serve.Health {
 	if s.unready {
-		return serve.Health{Replicas: []serve.ReplicaHealth{{State: serve.StateClosed}}}
+		return serve.Health{State: serve.StateClosed}
 	}
-	return serve.Health{Ready: true, Replicas: []serve.ReplicaHealth{{State: serve.StateReady}}}
+	return serve.Health{Ready: true, State: serve.StateReady}
 }
 
 func stubInference() *core.Inference {
@@ -213,9 +213,9 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestHealthzReadiness checks that /healthz reports per-replica state as
-// JSON and flips to 503 the moment no replica is routable, so load
-// balancers stop sending traffic to a draining or dead process.
+// TestHealthzReadiness checks that /healthz reports the engine state as
+// JSON and flips to 503 the moment the engine is closed, so load balancers
+// stop sending traffic to a draining or dead process.
 func TestHealthzReadiness(t *testing.T) {
 	getHealthz := func(stub *stubPredictor) *httptest.ResponseRecorder {
 		mux := newMux(stub, testConfig())
@@ -232,8 +232,8 @@ func TestHealthzReadiness(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("healthz body is not JSON: %v (body %q)", err, rec.Body)
 	}
-	if !h.Ready || len(h.Replicas) != 1 || h.Replicas[0].State != serve.StateReady {
-		t.Errorf("healthz body = %+v, want ready with one ready replica", h)
+	if !h.Ready || h.State != serve.StateReady {
+		t.Errorf("healthz body = %+v, want ready", h)
 	}
 
 	rec = getHealthz(&stubPredictor{inf: stubInference(), unready: true})
@@ -243,8 +243,8 @@ func TestHealthzReadiness(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("unready healthz body is not JSON: %v (body %q)", err, rec.Body)
 	}
-	if h.Ready || len(h.Replicas) != 1 || h.Replicas[0].State != serve.StateClosed {
-		t.Errorf("unready healthz body = %+v, want not-ready with one closed replica", h)
+	if h.Ready || h.State != serve.StateClosed {
+		t.Errorf("unready healthz body = %+v, want not ready and closed", h)
 	}
 }
 

@@ -54,10 +54,9 @@ func TestTraceparentFreshRoot(t *testing.T) {
 	if len(entries) != 1 || entries[0].TraceID != trace.String() {
 		t.Fatalf("ring = %+v, want trace_id %s", entries, trace)
 	}
-	// The stub answers without touching serve internals: no replica was
-	// stamped, no cache hit.
-	if entries[0].Replica != -1 || entries[0].CacheHit {
-		t.Errorf("ring note fields = replica %d cache_hit %v, want -1/false", entries[0].Replica, entries[0].CacheHit)
+	// The stub answers without touching serve internals: no cache hit.
+	if entries[0].CacheHit {
+		t.Error("ring entry claims a cache hit from the stub")
 	}
 
 	recs := cfg.tracer.Trace(trace.String())

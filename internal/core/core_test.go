@@ -276,7 +276,7 @@ func TestTrainerRunEpochs(t *testing.T) {
 	opts := DefaultTrainOptions()
 	opts.Epochs = 2
 	opts.BatchSize = 2
-	stats, err := tr.Run(samples, opts)
+	stats, err := tr.Fit(context.Background(), samples, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestTrainerRunEpochs(t *testing.T) {
 
 func TestTrainerRejectsEmpty(t *testing.T) {
 	tr := NewTrainer(tinyModel())
-	if _, err := tr.Run(nil, DefaultTrainOptions()); err == nil {
+	if _, err := tr.Fit(context.Background(), nil, DefaultTrainOptions()); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 	if _, _, _, err := tr.Step(nil); err == nil {

@@ -39,7 +39,7 @@ type Sample struct {
 	Meta  *grid.Flow     // grid metadata of the LR field
 }
 
-// TrainOptions drives Trainer.Run.
+// TrainOptions drives Trainer.Fit.
 type TrainOptions struct {
 	Epochs    int
 	BatchSize int // gradient-accumulation batch (paper: 8)
@@ -136,14 +136,6 @@ func (tr *Trainer) Step(batch []Sample) (total, data, pde float64, err error) {
 	tr.Opt.Step(params)
 	t.Free()
 	return total, data, pde, nil
-}
-
-// Run trains for opts.Epochs over the samples and returns per-epoch stats.
-//
-// Deprecated: use Fit, which takes a context.Context and supports
-// cancellation between batches. Run is Fit with context.Background().
-func (tr *Trainer) Run(samples []Sample, opts TrainOptions) ([]EpochStats, error) {
-	return tr.Fit(context.Background(), samples, opts)
 }
 
 // Fit trains for opts.Epochs over the samples and returns per-epoch stats.

@@ -109,16 +109,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Merge adds o into s bucket-wise. Merging snapshots from different
-// histograms is exact because every Histogram shares the bucket scheme.
-func (s *Snapshot) Merge(o Snapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Mean returns the arithmetic mean of the recorded values (0 if empty).
 // Unlike quantiles it is exact: Sum and Count are true totals, not bucket
 // reconstructions.

@@ -125,27 +125,6 @@ func TestMeanIsExact(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	for v := int64(0); v < 500; v++ {
-		a.Observe(v)
-		b.Observe(v * 1000)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 1000 {
-		t.Fatalf("merged count = %d, want 1000", sa.Count)
-	}
-	var want Histogram
-	for v := int64(0); v < 500; v++ {
-		want.Observe(v)
-		want.Observe(v * 1000)
-	}
-	if ws := want.Snapshot(); ws.Buckets != sa.Buckets || ws.Sum != sa.Sum {
-		t.Error("merged snapshot differs from single-histogram recording of the union")
-	}
-}
-
 // TestConcurrentObserveSnapshot hammers one histogram from many writers while
 // a reader snapshots continuously. Run under -race this checks the lock-free
 // protocol; the final count checks no observation is lost.

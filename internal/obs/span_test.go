@@ -434,12 +434,4 @@ func TestExemplars(t *testing.T) {
 	if got := ex.Slowest(); got.Trace != b || got.Value != int64(800*time.Millisecond) {
 		t.Fatalf("slowest %+v", got)
 	}
-	// MaxExemplar merges across replicas by value.
-	merged := MaxExemplar(Exemplar{Value: 5, Trace: a}, Exemplar{Value: 9, Trace: b})
-	if merged.Trace != b {
-		t.Fatalf("merged %+v", merged)
-	}
-	if got := MaxExemplar(Exemplar{Value: 5, Trace: a}, Exemplar{}); got.Trace != a {
-		t.Fatalf("merge with empty %+v", got)
-	}
 }

@@ -29,7 +29,7 @@ import (
 // a flow key covers the solved field, which is all inference reads, so
 // PredictFlow skips the forward pass. Flights are always on. The byte budget
 // governs retention only: a budget of zero keeps flights and stores nothing
-// (the Cluster's router holds such an instance).
+// (an engine built without WithCache holds such an instance).
 //
 // Correctness rests on three properties:
 //

@@ -315,6 +315,12 @@ func TestCacheOptionValidation(t *testing.T) {
 	}
 }
 
+// flowKeyOf is the flow-space table key of f.
+func flowKeyOf(seed uint64, f *grid.Flow) uint64 {
+	id := flowIdent(f)
+	return id.hash(seed)
+}
+
 // TestFlowKeyShape is the collision regression for ident.hash: two flows of
 // different grid shapes with identical flattened channel bytes must hash
 // differently, because the shape is part of the hash — without it they would

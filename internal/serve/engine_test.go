@@ -48,6 +48,19 @@ func testFlows(n, h, w int) []*grid.Flow {
 	return flows
 }
 
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("timeout waiting for %s", msg)
+}
+
 // TestBatchedMatchesDirect checks the acceptance criterion: Engine.Predict
 // output is bit-identical to direct core.Model inference, for a single
 // caller and for N concurrent callers whose requests share batches.
@@ -107,6 +120,91 @@ func TestBatchedMatchesDirect(t *testing.T) {
 		if s := e.Stats(); s.Completed != uint64(callers) {
 			t.Errorf("callers=%d: stats completed = %d", callers, s.Completed)
 		}
+	}
+}
+
+// TestClusterMatchesDirect checks that output is bit-identical to direct
+// core.Model inference across several flows served one after another by a
+// multi-worker engine. (The Cluster prefix is kept from the replica tier
+// this test once ran through; a process now serves one Engine.)
+func TestClusterMatchesDirect(t *testing.T) {
+	flows := testFlows(6, 8, 16)
+	m := testModel(flows)
+	e, err := New(m, WithWorkers(3), WithMaxDelay(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	for i, f := range flows {
+		want := m.Infer(f)
+		got, err := e.PredictFlow(context.Background(), f)
+		if err != nil {
+			t.Fatalf("flow %d: %v", i, err)
+		}
+		sameInf(t, "engine", want, got)
+	}
+	if got := e.Stats().Completed; got != uint64(len(flows)) {
+		t.Errorf("completed = %d, want %d", got, len(flows))
+	}
+}
+
+// TestClusterSingleFlight checks flight coalescing at the engine's front
+// door: concurrent identical requests collapse to fewer queue submissions
+// than callers, and every follower receives a private bit-identical copy.
+// (The Cluster prefix is kept from the replica tier this test once ran
+// through; a process now serves one Engine.)
+func TestClusterSingleFlight(t *testing.T) {
+	const callers = 6
+	flows := testFlows(1, 8, 16)
+	m := testModel(flows)
+	e, err := New(m, WithMaxBatch(1), WithMaxDelay(time.Millisecond), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Hold the worker so all callers pile onto one flight.
+	hold := make(chan struct{})
+	e.hold = hold
+
+	want := m.Infer(flows[0])
+	got := make([]*core.Inference, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = e.PredictFlow(context.Background(), flows[0])
+		}(i)
+	}
+	// Wait until the leader's request is queued; the flight stays open while
+	// its worker is held, so stragglers join as followers. The brief sleep
+	// lets the remaining callers arrive.
+	waitFor(t, 2*time.Second, func() bool { return e.stats.requests.Load() >= 1 }, "leader submission")
+	time.Sleep(100 * time.Millisecond)
+	close(hold)
+	wg.Wait()
+
+	for i := 0; i < callers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		sameInf(t, "follower", want, got[i])
+	}
+	// Followers must not alias the leader's tensors.
+	for i := 1; i < callers; i++ {
+		if got[i] == got[0] || &got[i].Field.Data()[0] == &got[0].Field.Data()[0] {
+			t.Fatal("coalesced followers share the leader's result object")
+		}
+	}
+	st := e.Stats()
+	if st.Coalesced == 0 {
+		t.Error("coalesced = 0, want > 0")
+	}
+	if st.Requests >= callers {
+		t.Errorf("queue submissions = %d, want < %d (coalescing)", st.Requests, callers)
 	}
 }
 
@@ -334,6 +432,64 @@ func TestEngineClosed(t *testing.T) {
 	}
 	if _, err := e.PredictFlow(context.Background(), flows[0]); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestEngineDrainOnClose checks graceful drain: every request accepted
+// before Close completes successfully, submissions after Close begins fail
+// with ErrEngineClosed, and Close itself returns only after the drain.
+func TestEngineDrainOnClose(t *testing.T) {
+	const callers = 10
+	flows := testFlows(callers, 8, 16)
+	m := testModel(flows)
+	e, err := New(m, WithMaxBatch(2), WithMaxDelay(time.Millisecond), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the worker so accepted requests are provably in flight at Close.
+	hold := make(chan struct{})
+	e.hold = hold
+
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = e.PredictFlow(context.Background(), flows[i])
+		}(i)
+	}
+	waitFor(t, 2*time.Second, func() bool { return e.stats.requests.Load() == callers }, "all requests accepted")
+
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+
+	// Close is draining: new submissions are refused while accepted ones are
+	// still pending. Wait for the closed flag first — probing before Close
+	// flips it would join an open flight and block behind the held worker.
+	waitFor(t, 2*time.Second, e.isClosed, "Close to begin draining")
+	if _, err := e.PredictFlow(context.Background(), flows[0]); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("submission during drain: err = %v, want ErrEngineClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while accepted requests were still held")
+	default:
+	}
+
+	close(hold)
+	wg.Wait()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("accepted request %d lost at Close: %v", i, err)
+		}
+	}
+	if h := e.Health(); h.Ready || h.State != StateClosed {
+		t.Errorf("Health() after Close = %+v, want not ready and %q", h, StateClosed)
 	}
 }
 

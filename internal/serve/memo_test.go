@@ -326,37 +326,38 @@ func TestCaseKeyCoversSolverInputs(t *testing.T) {
 	}
 }
 
-// TestClusterPredictMemo: through a Cluster, a repeat Predict is a case-key
-// hit on the home replica, and the fleet holds one entry for the request.
+// TestClusterPredictMemo: a repeat Predict is a case-key hit that runs no
+// solve and no forward pass, and the engine holds one entry for the
+// request. (The Cluster prefix is kept from the replica tier this test once
+// ran through; a process now serves one Engine.)
 func TestClusterPredictMemo(t *testing.T) {
-	m := testModel([]*grid.Flow{testCase(2.5e3).Build()})
-	c, err := NewCluster(m, WithReplicas(2), WithMaxDelay(time.Millisecond), WithCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	e, m := caseEngine(t, WithMaxDelay(time.Millisecond), WithCache(1<<20))
 	want := m.Infer(solveDirect(t, testCase(2.5e3)))
 	for i := 0; i < 3; i++ {
-		got, err := c.Predict(context.Background(), testCase(2.5e3))
+		got, err := e.Predict(context.Background(), testCase(2.5e3))
 		if err != nil {
 			t.Fatalf("predict %d: %v", i, err)
 		}
-		sameInf(t, "cluster predict", want, got)
+		sameInf(t, "engine predict", want, got)
 	}
-	st := c.Stats()
+	st := e.Stats()
 	if st.LRSolves != 1 || st.Completed != 1 || st.CacheHitsCase != 2 || st.CacheEntries != 1 {
 		t.Errorf("solves=%d forward passes=%d case hits=%d entries=%d, want 1/1/2/1", st.LRSolves, st.Completed, st.CacheHitsCase, st.CacheEntries)
 	}
 }
 
 // TestPredictTraceSpans: a trace of a leader, of a follower and of a repeat
-// shows where the time went — solve_wait and lr_solve, flight_wait,
-// cache_hit{key=case} — each from the clock reads its histogram observed.
+// shows where the time went — cache_probe, solve_wait and lr_solve, then
+// engine → queue_wait/forward/assemble for the leader, flight_wait for the
+// follower, cache_hit{key=case} for the repeat — each from the clock reads
+// its histogram observed. The leader is the only request through the queue,
+// so every stage histogram holds one sample, its mean IS the span, and the
+// comparison is exact equality.
 func TestPredictTraceSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, _ := caseEngine(t, WithCache(1<<20), WithMetrics(reg))
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	run := func(wait func()) map[string]obs.SpanView {
+	run := func(wait func()) (map[string]obs.SpanView, string) {
 		ctx, root := tracer.StartRequest(context.Background(), "POST /predict", "")
 		done := make(chan error, 1)
 		go func() {
@@ -374,28 +375,70 @@ func TestPredictTraceSpans(t *testing.T) {
 		if len(recs) != 1 {
 			t.Fatalf("retained %d records, want 1", len(recs))
 		}
-		return spanByName(t, recs[0])
+		return spanByName(t, recs[0]), recs[0].TraceID
 	}
 
 	// Leader and follower, overlapped by holding the solve slots.
 	id := caseIdent(testCase(2.5e3).Build())
 	release := holdSolves(e)
 	var follower map[string]obs.SpanView
-	leader := run(func() {
+	leader, leaderTrace := run(func() {
 		waitFor(t, 5*time.Second, func() bool { return followers(e, id) == 0 }, "the leader's flight")
-		follower = run(func() {
+		follower, _ = run(func() {
 			waitFor(t, 5*time.Second, func() bool { return followers(e, id) == 1 }, "the follower")
 			release()
 		})
 	})
 	st := e.Stats()
-	for _, name := range []string{"cache_probe", "solve_wait", "lr_solve", "engine"} {
+	for _, name := range []string{"POST /predict", "cache_probe", "solve_wait", "lr_solve", "engine", "queue_wait", "forward", "assemble"} {
 		if _, ok := leader[name]; !ok {
-			t.Errorf("leader trace has no %q span: %v", name, leader)
+			t.Fatalf("leader trace has no %q span: %v", name, leader)
 		}
 	}
-	if got := leader["solve_wait"].DurationMs; got != msOf(st.MeanSolveWait) {
-		t.Errorf("solve_wait span = %vms, histogram mean = %vms; must share clock reads", got, msOf(st.MeanSolveWait))
+	// Parentage: the request root → cache_probe/engine → engine stages.
+	root := leader["POST /predict"]
+	for _, name := range []string{"cache_probe", "solve_wait", "lr_solve", "engine"} {
+		if leader[name].ParentID != root.SpanID {
+			t.Errorf("%s parent = %q, want root %q", name, leader[name].ParentID, root.SpanID)
+		}
+	}
+	for _, name := range []string{"queue_wait", "forward", "assemble"} {
+		if leader[name].ParentID != leader["engine"].SpanID {
+			t.Errorf("%s parent = %q, want engine %q", name, leader[name].ParentID, leader["engine"].SpanID)
+		}
+	}
+	if got := leader["cache_probe"].Attrs["hit"]; got != false {
+		t.Errorf("cache_probe hit attr = %v, want false", got)
+	}
+	if _, ok := leader["forward"].Attrs["group"].(int64); !ok {
+		t.Errorf("forward span missing group attr: %+v", leader["forward"])
+	}
+	if st.Completed != 1 {
+		t.Fatalf("completed = %d, want 1 (only the leader reaches the queue)", st.Completed)
+	}
+	for _, chk := range []struct {
+		span string
+		mean time.Duration
+	}{
+		{"solve_wait", st.MeanSolveWait},
+		{"queue_wait", st.MeanQueueWait},
+		{"forward", st.MeanForward},
+		{"assemble", st.MeanAssemble},
+		{"engine", st.MeanE2E},
+	} {
+		if got := leader[chk.span].DurationMs; got != msOf(chk.mean) {
+			t.Errorf("%s span = %vms, histogram mean = %vms; must share clock reads", chk.span, got, msOf(chk.mean))
+		}
+	}
+	// Exemplars: every stage tail names the leader's trace as its slowest —
+	// the only observation there is.
+	for name, tail := range map[string]Tail{
+		"queue_wait": st.QueueWaitTail, "forward": st.ForwardTail,
+		"assemble": st.AssembleTail, "e2e": st.E2ETail,
+	} {
+		if tail.SlowestTrace != leaderTrace {
+			t.Errorf("%s tail exemplar = %q, want the leader's trace %q", name, tail.SlowestTrace, leaderTrace)
+		}
 	}
 	fw, ok := follower["flight_wait"]
 	if !ok || fw.Attrs["key"] != "case" {
@@ -408,7 +451,7 @@ func TestPredictTraceSpans(t *testing.T) {
 		t.Error("the follower ran its own solve")
 	}
 
-	repeat := run(nil)
+	repeat, _ := run(nil)
 	hitSpan, ok := repeat["cache_hit"]
 	if !ok || hitSpan.Attrs["key"] != "case" {
 		t.Fatalf("repeat trace has no cache_hit{key=case} span: %v", repeat)

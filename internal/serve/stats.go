@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -145,89 +144,53 @@ func tailOf(s obs.Snapshot, ex obs.Exemplar) Tail {
 	}
 }
 
-// stageSnaps accumulates the stage-histogram snapshots an EngineStats
-// derives its timing fields from. Snapshots merge bucket-wise exactly, so a
-// cluster aggregate built from several replicas' counters is as faithful as
-// a single engine's. The exemplar fields keep the max-valued exemplar seen
-// across the merged sets.
-type stageSnaps struct {
-	queueWait, forward, assemble, e2e, occupancy, cacheHit, flightWait, solveWait obs.Snapshot
-
-	queueWaitEx, forwardEx, assembleEx, e2eEx, cacheHitEx obs.Exemplar
-}
-
-// addTo accumulates this counter set into s (scalars sum) and snaps (stage
-// histograms merge). Engine.Stats calls it once; Cluster.Stats calls it once
-// per replica slot to build the fleet aggregate.
-func (c *counters) addTo(s *EngineStats, snaps *stageSnaps) {
-	s.Requests += c.requests.Load()
-	s.Completed += c.completed.Load()
-	s.Canceled += c.canceled.Load()
-	s.Rejected += c.rejected.Load()
-	s.Coalesced += c.coalesced.Load()
-	s.LRSolves += c.lrSolves.Load()
-	s.Panics += c.panics.Load()
-	s.Retried += c.retried.Load()
-	snaps.queueWait.Merge(c.queueWait.Snapshot())
-	snaps.forward.Merge(c.forward.Snapshot())
-	snaps.assemble.Merge(c.assemble.Snapshot())
-	snaps.e2e.Merge(c.e2e.Snapshot())
-	snaps.occupancy.Merge(c.occupancy.Snapshot())
-	snaps.cacheHit.Merge(c.cacheHit.Snapshot())
-	snaps.flightWait.Merge(c.flightWait.Snapshot())
-	snaps.solveWait.Merge(c.solveWait.Snapshot())
-	snaps.queueWaitEx = obs.MaxExemplar(snaps.queueWaitEx, c.queueWaitEx.Slowest())
-	snaps.forwardEx = obs.MaxExemplar(snaps.forwardEx, c.forwardEx.Slowest())
-	snaps.assembleEx = obs.MaxExemplar(snaps.assembleEx, c.assembleEx.Slowest())
-	snaps.e2eEx = obs.MaxExemplar(snaps.e2eEx, c.e2eEx.Slowest())
-	snaps.cacheHitEx = obs.MaxExemplar(snaps.cacheHitEx, c.cacheHitEx.Slowest())
-}
-
-// addCacheTo accumulates a table's retention counters into s.
-func addCacheTo(s *EngineStats, c *memo) {
-	s.CacheHitsCase += c.hits[caseSpace].Load()
-	s.CacheHitsFlow += c.hits[flowSpace].Load()
-	s.CacheHits = s.CacheHitsCase + s.CacheHitsFlow
-	s.CacheMisses += c.misses.Load()
-	s.CacheNegativeHits += c.negHits.Load()
-	s.CacheEvicted += c.evicted.Load()
-	s.CacheBytes += c.bytes.Load()
-	s.CacheEntries += c.entries.Load()
-}
-
-// finishStats derives the timing fields — means, tails, batch count — from
-// the accumulated stage snapshots.
-func finishStats(s *EngineStats, snaps *stageSnaps) {
-	s.Batches = snaps.occupancy.Count
-	s.MeanBatchOccupancy = snaps.occupancy.Mean()
-	s.MeanQueueWait = time.Duration(snaps.queueWait.Mean())
-	s.MeanForward = time.Duration(snaps.forward.Mean())
-	s.MeanAssemble = time.Duration(snaps.assemble.Mean())
-	s.MeanE2E = time.Duration(snaps.e2e.Mean())
-	s.MeanCacheHit = time.Duration(snaps.cacheHit.Mean())
-	s.MeanFlightWait = time.Duration(snaps.flightWait.Mean())
-	s.MeanSolveWait = time.Duration(snaps.solveWait.Mean())
-	s.QueueWaitTail = tailOf(snaps.queueWait, snaps.queueWaitEx)
-	s.ForwardTail = tailOf(snaps.forward, snaps.forwardEx)
-	s.AssembleTail = tailOf(snaps.assemble, snaps.assembleEx)
-	s.E2ETail = tailOf(snaps.e2e, snaps.e2eEx)
-	s.CacheHitTail = tailOf(snaps.cacheHit, snaps.cacheHitEx)
-}
-
 // Stats snapshots the engine counters. Safe to call concurrently with
 // serving; the fields are read individually, not as one atomic unit.
 // All timing fields — means and tails — derive from the stage histogram
 // snapshots, the same data /metrics exports.
 func (e *Engine) Stats() EngineStats {
+	c, m := &e.stats, e.memo
+	queueWait, forward, assemble := c.queueWait.Snapshot(), c.forward.Snapshot(), c.assemble.Snapshot()
+	e2e, occupancy, cacheHit := c.e2e.Snapshot(), c.occupancy.Snapshot(), c.cacheHit.Snapshot()
 	s := EngineStats{
 		Precision:   e.Precision().String(),
 		GemmKernel:  tensor.Gemm32KernelName(),
 		CPUFeatures: cpu.Summary(),
+
+		Requests:  c.requests.Load(),
+		Completed: c.completed.Load(),
+		Canceled:  c.canceled.Load(),
+		Rejected:  c.rejected.Load(),
+		Batches:   occupancy.Count,
+		Coalesced: c.coalesced.Load(),
+		LRSolves:  c.lrSolves.Load(),
+		Panics:    c.panics.Load(),
+		Retried:   c.retried.Load(),
+
+		CacheHitsCase:     m.hits[caseSpace].Load(),
+		CacheHitsFlow:     m.hits[flowSpace].Load(),
+		CacheMisses:       m.misses.Load(),
+		CacheNegativeHits: m.negHits.Load(),
+		CacheEvicted:      m.evicted.Load(),
+		CacheBytes:        m.bytes.Load(),
+		CacheEntries:      m.entries.Load(),
+
+		MeanBatchOccupancy: occupancy.Mean(),
+		MeanQueueWait:      time.Duration(queueWait.Mean()),
+		MeanForward:        time.Duration(forward.Mean()),
+		MeanAssemble:       time.Duration(assemble.Mean()),
+		MeanE2E:            time.Duration(e2e.Mean()),
+		MeanCacheHit:       time.Duration(cacheHit.Mean()),
+		MeanFlightWait:     time.Duration(c.flightWait.Snapshot().Mean()),
+		MeanSolveWait:      time.Duration(c.solveWait.Snapshot().Mean()),
+
+		QueueWaitTail: tailOf(queueWait, c.queueWaitEx.Slowest()),
+		ForwardTail:   tailOf(forward, c.forwardEx.Slowest()),
+		AssembleTail:  tailOf(assemble, c.assembleEx.Slowest()),
+		E2ETail:       tailOf(e2e, c.e2eEx.Slowest()),
+		CacheHitTail:  tailOf(cacheHit, c.cacheHitEx.Slowest()),
 	}
-	var snaps stageSnaps
-	e.stats.addTo(&s, &snaps)
-	addCacheTo(&s, e.memo)
-	finishStats(&s, &snaps)
+	s.CacheHits = s.CacheHitsCase + s.CacheHitsFlow
 	return s
 }
 
@@ -246,85 +209,55 @@ func (s EngineStats) String() string {
 // WithMetrics option; exported for callers that construct the registry
 // after the engine.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
-	registerServeMetrics(reg, nil, e.stats, func() *Engine { return e })
-}
-
-// registerServeMetrics attaches one counter set's series under the
-// adarnet_serve_* names, optionally labeled (a Cluster registers each slot
-// with replica="i"). The counters outlive replica generations, but the cache
-// and precision belong to the live engine, so those series read through the
-// engine accessor — for a cluster slot that is whichever generation is
-// serving at scrape time.
-func registerServeMetrics(reg *obs.Registry, labels []string, c *counters, engine func() *Engine) {
 	if reg == nil {
 		return
 	}
-	name := func(base string, kv ...string) string {
-		return obs.Labeled(base, append(slices.Clip(labels), kv...)...)
+	c, m := &e.stats, e.memo
+	counter := func(name, help string, v *atomic.Uint64) {
+		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
 	}
-	reg.CounterFunc(name("adarnet_serve_requests_total"), "Submissions accepted into the queue.",
-		func() float64 { return float64(c.requests.Load()) })
-	reg.CounterFunc(name("adarnet_serve_completed_total"), "Predictions delivered.",
-		func() float64 { return float64(c.completed.Load()) })
-	reg.CounterFunc(name("adarnet_serve_canceled_total"), "Requests dropped by context cancellation.",
-		func() float64 { return float64(c.canceled.Load()) })
-	reg.CounterFunc(name("adarnet_serve_rejected_total"), "Submissions shed with ErrQueueFull.",
-		func() float64 { return float64(c.rejected.Load()) })
-	reg.CounterFunc(name("adarnet_serve_coalesced_total"), "Flight followers: requests served from an identical in-flight request's computation.",
-		func() float64 { return float64(c.coalesced.Load()) })
-	reg.CounterFunc(name("adarnet_serve_lr_solves_total"), "LR solves run by Predict's flight leaders.",
-		func() float64 { return float64(c.lrSolves.Load()) })
-	reg.CounterFunc(name("adarnet_serve_panics_total"), "Panics recovered at worker boundaries.",
-		func() float64 { return float64(c.panics.Load()) })
-	reg.CounterFunc(name("adarnet_serve_retried_total"), "Individual re-runs after a batch-level panic.",
-		func() float64 { return float64(c.retried.Load()) })
-	reg.GaugeFunc(name("adarnet_serve_precision_float32"), "1 when the engine serves the float32 fast path, 0 for the float64 default.",
+	counter("adarnet_serve_requests_total", "Submissions accepted into the queue.", &c.requests)
+	counter("adarnet_serve_completed_total", "Predictions delivered.", &c.completed)
+	counter("adarnet_serve_canceled_total", "Requests dropped by context cancellation.", &c.canceled)
+	counter("adarnet_serve_rejected_total", "Submissions shed with ErrQueueFull.", &c.rejected)
+	counter("adarnet_serve_coalesced_total", "Flight followers: requests served from an identical in-flight request's computation.", &c.coalesced)
+	counter("adarnet_serve_lr_solves_total", "LR solves run by Predict's flight leaders.", &c.lrSolves)
+	counter("adarnet_serve_panics_total", "Panics recovered at worker boundaries.", &c.panics)
+	counter("adarnet_serve_retried_total", "Individual re-runs after a batch-level panic.", &c.retried)
+	reg.GaugeFunc("adarnet_serve_precision_float32", "1 when the engine serves the float32 fast path, 0 for the float64 default.",
 		func() float64 {
-			if e := engine(); e != nil && e.Precision() == Float32 {
+			if e.Precision() == Float32 {
 				return 1
 			}
 			return 0
 		})
-	// Cache series read the live engine's table atomics; EngineStats reads
-	// the same ones, so the views always agree. Hits carry the key space
-	// that answered (key="case" skipped a solve, key="flow" a forward pass).
-	cacheVal := func(read func(*memo) float64) func() float64 {
-		return func() float64 {
-			e := engine()
-			if e == nil {
-				return 0
-			}
-			return read(e.memo)
-		}
-	}
+	// Cache series read the table's atomics; EngineStats reads the same
+	// ones, so the views always agree. Hits carry the key space that
+	// answered (key="case" skipped a solve, key="flow" a forward pass).
 	for sp := keySpace(0); sp < numKeySpaces; sp++ {
-		reg.CounterFunc(name("adarnet_serve_cache_hits_total", "key", sp.String()),
-			"Predictions served from the content-addressed cache, by key space.",
-			cacheVal(func(m *memo) float64 { return float64(m.hits[sp].Load()) }))
+		counter(obs.Labeled("adarnet_serve_cache_hits_total", "key", sp.String()),
+			"Predictions served from the content-addressed cache, by key space.", &m.hits[sp])
 	}
-	reg.CounterFunc(name("adarnet_serve_cache_misses_total"), "Cache lookups that found no entry and led or followed a flight.",
-		cacheVal(func(m *memo) float64 { return float64(m.misses.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_negative_hits_total"), "Cached ErrDiverged answers served without re-solving.",
-		cacheVal(func(m *memo) float64 { return float64(m.negHits.Load()) }))
-	reg.CounterFunc(name("adarnet_serve_cache_evicted_total"), "Cache entries evicted at the byte budget.",
-		cacheVal(func(m *memo) float64 { return float64(m.evicted.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_bytes"), "Resident prediction-cache bytes.",
-		cacheVal(func(m *memo) float64 { return float64(m.bytes.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_entries"), "Resident prediction-cache entries.",
-		cacheVal(func(m *memo) float64 { return float64(m.entries.Load()) }))
-	reg.GaugeFunc(name("adarnet_serve_cache_enabled"), "1 when the engine was built with WithCache, 0 otherwise.",
-		cacheVal(func(m *memo) float64 {
+	counter("adarnet_serve_cache_misses_total", "Cache lookups that found no entry and led or followed a flight.", &m.misses)
+	counter("adarnet_serve_cache_negative_hits_total", "Cached ErrDiverged answers served without re-solving.", &m.negHits)
+	counter("adarnet_serve_cache_evicted_total", "Cache entries evicted at the byte budget.", &m.evicted)
+	reg.GaugeFunc("adarnet_serve_cache_bytes", "Resident prediction-cache bytes.",
+		func() float64 { return float64(m.bytes.Load()) })
+	reg.GaugeFunc("adarnet_serve_cache_entries", "Resident prediction-cache entries.",
+		func() float64 { return float64(m.entries.Load()) })
+	reg.GaugeFunc("adarnet_serve_cache_enabled", "1 when the engine was built with WithCache, 0 otherwise.",
+		func() float64 {
 			if m.retains() {
 				return 1
 			}
 			return 0
-		}))
-	reg.AttachHistogram(name("adarnet_serve_queue_wait_seconds"), "Submit to batch-pickup wait per request.", 1e-9, &c.queueWait)
-	reg.AttachHistogram(name("adarnet_serve_forward_seconds"), "Batched forward-pass time per batch group.", 1e-9, &c.forward)
-	reg.AttachHistogram(name("adarnet_serve_assemble_seconds"), "Assembly/demux time per batch group.", 1e-9, &c.assemble)
-	reg.AttachHistogram(name("adarnet_serve_e2e_seconds"), "Submit to reply latency per completed request.", 1e-9, &c.e2e)
-	reg.AttachHistogram(name("adarnet_serve_batch_occupancy"), "Requests per flushed batch.", 1, &c.occupancy)
-	reg.AttachHistogram(name("adarnet_serve_cache_hit_seconds"), "Lookup to copied-reply latency per cache hit.", 1e-9, &c.cacheHit)
-	reg.AttachHistogram(name("adarnet_serve_flight_wait_seconds"), "Time a follower waited on an identical in-flight request.", 1e-9, &c.flightWait)
-	reg.AttachHistogram(name("adarnet_serve_solve_wait_seconds"), "Time a flight leader waited for an LR-solve slot.", 1e-9, &c.solveWait)
+		})
+	reg.AttachHistogram("adarnet_serve_queue_wait_seconds", "Submit to batch-pickup wait per request.", 1e-9, &c.queueWait)
+	reg.AttachHistogram("adarnet_serve_forward_seconds", "Batched forward-pass time per batch group.", 1e-9, &c.forward)
+	reg.AttachHistogram("adarnet_serve_assemble_seconds", "Assembly/demux time per batch group.", 1e-9, &c.assemble)
+	reg.AttachHistogram("adarnet_serve_e2e_seconds", "Submit to reply latency per completed request.", 1e-9, &c.e2e)
+	reg.AttachHistogram("adarnet_serve_batch_occupancy", "Requests per flushed batch.", 1, &c.occupancy)
+	reg.AttachHistogram("adarnet_serve_cache_hit_seconds", "Lookup to copied-reply latency per cache hit.", 1e-9, &c.cacheHit)
+	reg.AttachHistogram("adarnet_serve_flight_wait_seconds", "Time a follower waited on an identical in-flight request.", 1e-9, &c.flightWait)
+	reg.AttachHistogram("adarnet_serve_solve_wait_seconds", "Time a flight leader waited for an LR-solve slot.", 1e-9, &c.solveWait)
 }

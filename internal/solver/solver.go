@@ -590,7 +590,6 @@ func tangentialGhost(bc grid.BCType, uin float64) (g, c float64) {
 
 // timeStep returns a stable global dt for the current state.
 func (s *state) timeStep(cfl float64) float64 {
-	h, w := s.h, s.w
 	maxU, maxV := 1e-12, 1e-12
 	for _, val := range s.u {
 		if a := math.Abs(val); a > maxU {
@@ -611,8 +610,6 @@ func (s *state) timeStep(cfl float64) float64 {
 	nuEff := s.nu + physics.EddyViscosity(maxNut, s.nu)
 	adv := maxU/s.dx + maxV/s.dy
 	diff := 2 * nuEff * (1/(s.dx*s.dx) + 1/(s.dy*s.dy))
-	_ = h
-	_ = w
 	return cfl / (adv + diff)
 }
 
@@ -1087,10 +1084,6 @@ func pow6(x float64) float64 {
 // writeBack copies the staggered solution into the collocated flow.
 func (s *state) writeBack(f *grid.Flow) {
 	h, w := s.h, s.w
-	s.us, s.u = s.u, s.us // ensure uc/vc reflect current u,v
-	s.vs, s.v = s.v, s.vs
-	s.us, s.u = s.u, s.us
-	s.vs, s.v = s.v, s.vs
 	for i := 0; i < h; i++ {
 		for j := 0; j < w; j++ {
 			k := i*w + j
