@@ -55,30 +55,18 @@ bench-module:
 bench:
 	$(GO) test ./internal/obs ./internal/tensor ./internal/nn ./internal/serve/... ./internal/core/... -run '^$$' -bench . -benchmem
 
-# Machine-readable benchmark snapshots (BENCH_gemm.json, BENCH_serve.json,
-# BENCH_infer32.json, BENCH_cache.json, BENCH_jobs.json, BENCH_trace.json)
-# for regression gating with benchdiff.
+# Machine-readable benchmark snapshot (BENCH_gemm.json) for regression
+# gating with benchdiff. End-to-end serving, cache, job and tracing costs
+# are measured by benchmark/ (see BENCHMARK.json), not here.
 bench-json:
-	$(GO) run ./cmd/adarnet-bench -exp micro,gemm,serve,infer32,cache,jobs,trace -json-dir .
+	$(GO) run ./cmd/adarnet-bench -exp micro,gemm -json-dir .
 
-# Compare two benchmark snapshots; gate on a metric with e.g.
-#   make benchdiff OLD=BENCH_infer32.old.json NEW=BENCH_infer32.json \
-#     BENCHDIFF_FLAGS='-metric batches.1.speedup -max-regress 10'
-# or gate the prediction cache's skewed-replay win with
-#   make benchdiff OLD=BENCH_cache.old.json NEW=BENCH_cache.json \
-#     BENCHDIFF_FLAGS='-metric hit_ratio_0.9.speedup -max-regress 10'
-# or gate the job service's submit-to-done and crash-resume overheads with
-#   make benchdiff OLD=BENCH_jobs.old.json NEW=BENCH_jobs.json \
-#     BENCHDIFF_FLAGS='-metric job.overhead_pct -lower-better -max-regress 10'
-# or gate the tracing-off hot path (span tracing must stay ≤2% overhead) with
-#   make benchdiff OLD=BENCH_trace.old.json NEW=BENCH_trace.json \
-#     BENCHDIFF_FLAGS='-metric off.ns_per_op -lower-better -max-regress 2'
-# or gate the SIMD GEMM kernel's win over the scalar fallback (large-shape
-# speedup must not silently erode) with
+# Compare two benchmark snapshots; gate the SIMD GEMM kernel's win over the
+# scalar fallback (large-shape speedup must not silently erode) with
 #   make benchdiff OLD=BENCH_gemm.old.json NEW=BENCH_gemm.json \
 #     BENCHDIFF_FLAGS='-metric large_speedup -max-regress 10'
-OLD ?= BENCH_infer32.old.json
-NEW ?= BENCH_infer32.json
+OLD ?= BENCH_gemm.old.json
+NEW ?= BENCH_gemm.json
 BENCHDIFF_FLAGS ?=
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(OLD) $(NEW)

@@ -1,12 +1,15 @@
 // Command adarnet-bench regenerates the paper's evaluation tables and
 // figures. Each experiment prints the same rows/series the paper reports;
 // absolute times reflect this machine, shapes should match the paper.
+// End-to-end serving, cache, job and tracing costs are measured on the
+// paper's geometries through the real server by benchmark/ instead.
 //
 // Usage:
 //
 //	adarnet-bench -exp all  -scale quick
 //	adarnet-bench -exp fig9 -scale full
 //	adarnet-bench -exp table1,table2
+//	adarnet-bench -exp micro,gemm -json-dir .
 package main
 
 import (
@@ -22,13 +25,65 @@ import (
 	"adarnet/internal/tensor/cpu"
 )
 
-// validExps lists every runnable experiment; unknown -exp names are rejected
-// with this list instead of silently running nothing.
-var validExps = []string{"micro", "gemm", "serve", "infer32", "cache", "jobs", "trace", "fig1", "fig9", "fig10", "fig11", "table1", "table2"}
+// session is what an experiment may draw on: the JSON output directory and
+// the trained environment, which is built on first use so the kernel
+// benches never pay for corpus generation and training.
+type session struct {
+	scale   bench.Scale
+	jsonDir string
+	start   time.Time
+	env     *bench.Env
+}
 
-func isValidExp(name string) bool {
-	for _, v := range validExps {
-		if name == v {
+func (s *session) Env() *bench.Env {
+	if s.env == nil {
+		fmt.Println("# preparing environment (corpus generation + training)...")
+		s.env = bench.Setup(s.scale)
+		fmt.Printf("# environment ready in %v (ADARNet %d params)\n\n", time.Since(s.start).Round(time.Second), s.env.Model.ParamCount())
+	}
+	return s.env
+}
+
+// experiment is one -exp name. paper marks the experiments `-exp all`
+// runs: the paper's tables and figures, not the kernel benches, which
+// measure the implementation.
+type experiment struct {
+	name  string
+	paper bool
+	run   func(s *session) error
+}
+
+// experiments lists every runnable experiment in run order; it is the one
+// source of the valid -exp names.
+var experiments = []experiment{
+	{"micro", false, func(s *session) error { return bench.Micro(os.Stdout) }},
+	{"gemm", false, func(s *session) error {
+		jsonPath := ""
+		if s.jsonDir != "" {
+			jsonPath = filepath.Join(s.jsonDir, "BENCH_gemm.json")
+		}
+		_, err := bench.GemmJSON(os.Stdout, jsonPath)
+		return err
+	}},
+	{"fig1", true, func(s *session) error { bench.Fig1(os.Stdout); return nil }},
+	{"fig9", true, func(s *session) error { _, err := bench.Fig9(s.Env(), os.Stdout); return err }},
+	{"fig10", true, func(s *session) error { _, err := bench.Fig10(s.Env(), os.Stdout); return err }},
+	{"fig11", true, func(s *session) error { _, err := bench.Fig11(s.Env(), os.Stdout); return err }},
+	{"table1", true, func(s *session) error { _, err := bench.Table1(s.Env(), os.Stdout); return err }},
+	{"table2", true, func(s *session) error { _, err := bench.Table2(s.Env(), os.Stdout); return err }},
+}
+
+func validExps() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+func isExp(name string) bool {
+	for _, e := range experiments {
+		if e.name == name {
 			return true
 		}
 	}
@@ -36,7 +91,7 @@ func isValidExp(name string) bool {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all | "+strings.Join(validExps, ","))
+	exp := flag.String("exp", "all", "experiments to run: all | "+strings.Join(validExps(), ","))
 	scale := flag.String("scale", "quick", "experiment scale: tiny | quick | full")
 	jsonDir := flag.String("json-dir", "", "directory for machine-readable BENCH_<exp>.json outputs; empty disables")
 	gemmKernel := flag.String("gemm-kernel", "auto", "float32 GEMM micro-kernel: auto | avx2 | neon | generic")
@@ -59,123 +114,26 @@ func main() {
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
 		name := strings.TrimSpace(e)
-		if name != "all" && !isValidExp(name) {
-			fmt.Fprintf(os.Stderr, "adarnet-bench: unknown experiment %q (valid: all, %s)\n", name, strings.Join(validExps, ", "))
+		if name != "all" && !isExp(name) {
+			fmt.Fprintf(os.Stderr, "adarnet-bench: unknown experiment %q (valid: all, %s)\n", name, strings.Join(validExps(), ", "))
 			os.Exit(2)
 		}
 		want[name] = true
 	}
-	all := want["all"]
 
-	start := time.Now()
+	s := &session{scale: sc, jsonDir: *jsonDir, start: time.Now()}
 	fmt.Printf("# adarnet-bench scale=%s (LR %dx%d, patches %dx%d, max level %d) gemm-kernel=%s cpu=%s\n",
 		sc.Name, sc.LRH, sc.LRW, sc.PatchH, sc.PatchW, sc.MaxLevel, kernel, cpu.Summary())
-
-	// Kernel microbenchmarks need no corpus or training, so they run before
-	// the (expensive) environment setup. Not part of "all": they measure the
-	// implementation, not the paper's tables.
-	if want["micro"] {
-		if err := bench.Micro(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "micro failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["gemm"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_gemm.json")
-		}
-		if _, err := bench.GemmJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "gemm failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["serve"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_serve.json")
-		}
-		if _, err := bench.ServeJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "serve failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["infer32"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_infer32.json")
-		}
-		if _, err := bench.Infer32JSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "infer32 failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["cache"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_cache.json")
-		}
-		if _, err := bench.CacheJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "cache failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["jobs"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_jobs.json")
-		}
-		if _, err := bench.JobsJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "jobs failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if want["trace"] {
-		jsonPath := ""
-		if *jsonDir != "" {
-			jsonPath = filepath.Join(*jsonDir, "BENCH_trace.json")
-		}
-		if _, err := bench.TraceJSON(os.Stdout, jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "trace failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	if all || want["fig1"] {
-		bench.Fig1(os.Stdout)
-		fmt.Println()
-	}
-
-	needEnv := all || want["fig9"] || want["fig10"] || want["fig11"] || want["table1"] || want["table2"]
-	if !needEnv {
-		return
-	}
-	fmt.Println("# preparing environment (corpus generation + training)...")
-	env := bench.Setup(sc)
-	fmt.Printf("# environment ready in %v (ADARNet %d params)\n\n", time.Since(start).Round(time.Second), env.Model.ParamCount())
-
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
+	for _, e := range experiments {
+		if !want[e.name] && !(want["all"] && e.paper) {
+			continue
 		}
 		t0 := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
+		if err := e.run(s); err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("# %s done in %v\n\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("# %s done in %v\n\n", e.name, time.Since(t0).Round(time.Millisecond))
 	}
-	run("fig9", func() error { _, err := bench.Fig9(env, os.Stdout); return err })
-	run("fig10", func() error { _, err := bench.Fig10(env, os.Stdout); return err })
-	run("fig11", func() error { _, err := bench.Fig11(env, os.Stdout); return err })
-	run("table1", func() error { _, err := bench.Table1(env, os.Stdout); return err })
-	run("table2", func() error { _, err := bench.Table2(env, os.Stdout); return err })
-	fmt.Printf("# total %v\n", time.Since(start).Round(time.Second))
+	fmt.Printf("# total %v\n", time.Since(s.start).Round(time.Second))
 }

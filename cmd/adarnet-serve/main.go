@@ -26,11 +26,11 @@
 //
 // Every request carries an ID (generated, or adopted from a well-formed
 // X-Request-Id header), echoed in the response header, stamped on each
-// structured log line (-log-format text|json), and retained in an
-// in-process last-N-request trace ring. With -debug-addr set, a second
-// listener exposes /debug/pprof, /debug/vars, /debug/requests (the ring),
-// and /metrics — kept off the serving port so profiling can never be
-// reached from the traffic-facing address by accident.
+// structured log line (-log-format text|json), and set as the request_id
+// attribute of the request's root span. With -debug-addr set, a second
+// listener exposes /debug/pprof, /debug/vars, /debug/traces (the retained
+// span traces) and /metrics — kept off the serving port so profiling can
+// never be reached from the traffic-facing address by accident.
 //
 // The boundary is hardened: request bodies are size-capped and rejected on
 // unknown fields, grid dimensions are bounded (h, w ≤ -max-dim, tiled by the
@@ -92,8 +92,7 @@ func main() {
 	jobQueue := flag.Int("job-queue-depth", 64, "accepted-but-unfinished job bound")
 	jobCkptEvery := flag.Int("job-checkpoint-every", 2000, "solver iterations between mid-solve job checkpoints")
 	logFormat := flag.String("log-format", "text", "structured log format: text | json")
-	debugAddr := flag.String("debug-addr", "", "diagnostics listen address (pprof, /debug/requests, /debug/traces, /metrics); empty disables")
-	traceRequests := flag.Int("trace-requests", 128, "completed requests retained in the in-process trace ring")
+	debugAddr := flag.String("debug-addr", "", "diagnostics listen address (pprof, /debug/traces, /metrics); empty disables")
 	traceSample := flag.Int("trace-sample", 16, "span tracing: keep 1 in N ordinary traces (every error and slow trace is always kept); 0 disables span tracing")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "span tracing: traces at least this long are always retained")
 	traceRetain := flag.Int("trace-retain", 256, "finished traces retained for /debug/traces")
@@ -201,14 +200,12 @@ func main() {
 		logger.Info("job service up", "dir", *jobsDir, "workers", *jobWorkers)
 	}
 
-	ring := obs.NewTraceRing(*traceRequests)
 	mux := newMux(engine, serverConfig{
 		maxDim:         *maxDim,
 		patchTile:      *patch,
 		maxBody:        *maxBody,
 		requestTimeout: *reqTimeout,
 		logger:         logger,
-		ring:           ring,
 		tracer:         tracer,
 		jobs:           jobSvc,
 	})
@@ -255,7 +252,7 @@ func main() {
 		// execution trace legitimately streams for that long.
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           obs.DebugMux(obs.Default, ring, tracer),
+			Handler:           obs.DebugMux(obs.Default, tracer),
 			ReadHeaderTimeout: 5 * time.Second,
 			ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelError),
 		}

@@ -12,15 +12,29 @@ import (
 	"adarnet/internal/obs"
 )
 
-// TestRequestIDInLogAndRing is the observability integration test: one
+// rootSpan returns the root span of the one retained trace whose context
+// the response's traceparent header names.
+func rootSpan(t *testing.T, tracer *obs.Tracer, rec *httptest.ResponseRecorder) obs.SpanView {
+	t.Helper()
+	trace, _, _, ok := obs.ParseTraceparent(rec.Header().Get("traceparent"))
+	if !ok {
+		t.Fatalf("response traceparent %q not well-formed", rec.Header().Get("traceparent"))
+	}
+	recs := tracer.Trace(trace.String())
+	if len(recs) != 1 {
+		t.Fatalf("trace %s: %d retained records, want 1", trace, len(recs))
+	}
+	return recs[0].Spans[0]
+}
+
+// TestRequestIDInLogAndTrace is the observability integration test: one
 // request through the full middleware + handler stack must carry the same
 // request ID in the X-Request-Id response header, the structured access-log
-// line, and the trace ring.
-func TestRequestIDInLogAndRing(t *testing.T) {
+// line, and the request_id attribute of its retained trace's root span.
+func TestRequestIDInLogAndTrace(t *testing.T) {
 	var logged bytes.Buffer
-	cfg := testConfig()
+	cfg := traceConfig()
 	cfg.logger = slog.New(slog.NewJSONHandler(&logged, nil))
-	cfg.ring = obs.NewTraceRing(8)
 	mux := newMux(&stubPredictor{inf: stubInference()}, cfg)
 
 	rec := postPredict(mux, `{"case":"channel"}`)
@@ -47,13 +61,11 @@ func TestRequestIDInLogAndRing(t *testing.T) {
 		t.Errorf("access log = %+v, want msg=request request_id=%s route=/predict status=200", line, id)
 	}
 
-	// The trace ring retains the same request under the same ID.
-	entries := cfg.ring.Snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("ring has %d entries, want 1", len(entries))
-	}
-	if e := entries[0]; e.ID != id || e.Route != "/predict" || e.Status != 200 {
-		t.Errorf("ring entry = %+v, want id=%s route=/predict status=200", e, id)
+	// The retained trace's root span carries the same ID and status, so
+	// the trace joins its access-log line by request_id.
+	root := rootSpan(t, cfg.tracer, rec)
+	if root.Name != "POST /predict" || root.Attrs["request_id"] != id || root.Attrs["status"] != int64(200) {
+		t.Errorf("root span = %+v, want POST /predict with request_id=%s status=200", root, id)
 	}
 }
 
@@ -61,9 +73,8 @@ func TestRequestIDInLogAndRing(t *testing.T) {
 // is adopted end to end, and a hostile one is replaced.
 func TestClientRequestIDAdopted(t *testing.T) {
 	var logged bytes.Buffer
-	cfg := testConfig()
+	cfg := traceConfig()
 	cfg.logger = slog.New(slog.NewTextHandler(&logged, nil))
-	cfg.ring = obs.NewTraceRing(8)
 	mux := newMux(&stubPredictor{inf: stubInference()}, cfg)
 
 	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{}`))
@@ -73,8 +84,8 @@ func TestClientRequestIDAdopted(t *testing.T) {
 	if got := rec.Header().Get("X-Request-Id"); got != "client-abc.123" {
 		t.Errorf("well-formed client ID not adopted: header = %q", got)
 	}
-	if entries := cfg.ring.Snapshot(); len(entries) != 1 || entries[0].ID != "client-abc.123" {
-		t.Errorf("ring did not record the adopted ID: %+v", entries)
+	if got := rootSpan(t, cfg.tracer, rec).Attrs["request_id"]; got != "client-abc.123" {
+		t.Errorf("root span request_id = %v, want the adopted ID", got)
 	}
 	if !strings.Contains(logged.String(), "request_id=client-abc.123") {
 		t.Errorf("access log missing adopted ID: %q", logged.String())
@@ -90,12 +101,11 @@ func TestClientRequestIDAdopted(t *testing.T) {
 }
 
 // TestQuietRoutes checks that /healthz and /metrics stay out of the access
-// log and the trace ring (probe and scrape noise) while /stats is traced.
+// log and start no trace (probe and scrape noise) while /stats is traced.
 func TestQuietRoutes(t *testing.T) {
 	var logged bytes.Buffer
-	cfg := testConfig()
+	cfg := traceConfig()
 	cfg.logger = slog.New(slog.NewTextHandler(&logged, nil))
-	cfg.ring = obs.NewTraceRing(8)
 	mux := newMux(&stubPredictor{inf: stubInference()}, cfg)
 
 	for _, path := range []string{"/healthz", "/metrics", "/stats"} {
@@ -105,8 +115,11 @@ func TestQuietRoutes(t *testing.T) {
 			t.Fatalf("GET %s: status = %d", path, rec.Code)
 		}
 	}
-	if cfg.ring.Len() != 1 {
-		t.Errorf("ring has %d entries, want only /stats", cfg.ring.Len())
+	if got := cfg.tracer.Stats().Started; got != 1 {
+		t.Errorf("%d traces started, want only /stats", got)
+	}
+	if sums := cfg.tracer.Traces(0, false, 0); len(sums) != 1 || sums[0].Root != "GET /stats" {
+		t.Errorf("retained traces = %+v, want only GET /stats", sums)
 	}
 	if log := logged.String(); strings.Contains(log, "/healthz") || strings.Contains(log, "route=/metrics") {
 		t.Errorf("quiet routes leaked into the access log: %q", log)
@@ -136,12 +149,14 @@ func TestMetricsEndpointServesEngineStats(t *testing.T) {
 
 // TestHandlerPanicLoggedWithRequestID checks the last line of defense: a
 // panic escaping a handler is answered with a 500 carrying the request ID
-// header, and logged at ERROR with the same ID and a stack.
+// header, logged at ERROR with the same ID and a stack, and retained as an
+// error trace with status 500.
 func TestHandlerPanicLoggedWithRequestID(t *testing.T) {
 	var logged bytes.Buffer
-	cfg := testConfig()
+	cfg := traceConfig()
+	// Huge sampling: only the error rule can retain this trace.
+	cfg.tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1 << 60})
 	cfg.logger = slog.New(slog.NewTextHandler(&logged, nil))
-	cfg.ring = obs.NewTraceRing(8)
 
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("handler exploded")
@@ -160,7 +175,12 @@ func TestHandlerPanicLoggedWithRequestID(t *testing.T) {
 	if id == "" || !strings.Contains(log, id) {
 		t.Errorf("panic log missing request ID %q: %q", id, log)
 	}
-	if entries := cfg.ring.Snapshot(); len(entries) != 1 || entries[0].Status != 500 {
-		t.Errorf("panicked request not traced as 500: %+v", entries)
+	trace, _, _, _ := obs.ParseTraceparent(rec.Header().Get("traceparent"))
+	recs := cfg.tracer.Trace(trace.String())
+	if len(recs) != 1 || recs[0].Kept != "error" {
+		t.Fatalf("panicked request not retained as an error trace: %+v", recs)
+	}
+	if root := recs[0].Spans[0]; root.Attrs["status"] != int64(500) || root.Attrs["request_id"] != id {
+		t.Errorf("root span attrs = %v, want status=500 request_id=%s", root.Attrs, id)
 	}
 }

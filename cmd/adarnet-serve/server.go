@@ -43,14 +43,13 @@ var (
 // Every limit exists to convert a hostile or buggy input into a 4xx instead
 // of an allocation, a stuck handler, or a worker panic.
 type serverConfig struct {
-	maxDim         int            // largest accepted grid H or W
-	patchTile      int            // H and W must tile by the model's patch size
-	maxBody        int64          // request-body byte cap
-	requestTimeout time.Duration  // per-request deadline (0 = client's only)
-	logger         *slog.Logger   // structured access + error log (nil: silent)
-	ring           *obs.TraceRing // last-N completed requests (nil: no request ring)
-	tracer         *obs.Tracer    // span tracer (nil: no span tracing)
-	jobs           *jobs.Service  // async E2E job service (nil: /jobs not served)
+	maxDim         int           // largest accepted grid H or W
+	patchTile      int           // H and W must tile by the model's patch size
+	maxBody        int64         // request-body byte cap
+	requestTimeout time.Duration // per-request deadline (0 = client's only)
+	logger         *slog.Logger  // structured access + error log (nil: silent)
+	tracer         *obs.Tracer   // span tracer (nil: no span tracing)
+	jobs           *jobs.Service // async E2E job service (nil: /jobs not served)
 }
 
 // validateTimeouts rejects a server configuration whose connection write
@@ -170,19 +169,21 @@ func validRequestID(id string) bool {
 // adopts) a request ID, propagates it via context to every layer below —
 // handler logs, engine panic logs, error paths — echoes it in the
 // X-Request-Id response header, captures the status, and on completion
-// emits one structured access-log line, appends to the trace ring, and
-// records the HTTP latency histogram. A panic escaping a handler is logged
-// at ERROR with the request ID and a truncated stack, answered with a clean
-// 500, and does not take down the listener. /healthz and /metrics are
-// exempt from the access log, the ring, and span tracing (probe and scrape
-// noise), but panics there are still contained.
+// emits one structured access-log line, ends the root span, and records the
+// HTTP latency histogram. A panic escaping a handler is logged at ERROR with
+// the request ID and a truncated stack, answered with a clean 500, and does
+// not take down the listener. /healthz and /metrics are exempt from the
+// access log and span tracing (probe and scrape noise), but panics there are
+// still contained.
 //
 // With a tracer configured, each non-quiet request becomes the root span of
 // a trace: an incoming W3C traceparent header is adopted (malformed or
 // absent values silently start a fresh trace — trace context is telemetry,
 // never a reason to reject a request), the serving layers below hang their
 // stage spans off it via context, and the outgoing trace context is echoed
-// in the traceparent response header so the caller can correlate.
+// in the traceparent response header so the caller can correlate. The root
+// span records the request ID, status and error, so a retained trace joins
+// its access-log line by request_id.
 func withObs(next http.Handler, cfg serverConfig) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
@@ -195,13 +196,11 @@ func withObs(next http.Handler, cfg serverConfig) http.Handler {
 
 		quiet := r.URL.Path == "/healthz" || r.URL.Path == "/metrics"
 		var span *obs.Span
-		var note *obs.RequestNote
 		if !quiet {
 			ctx, span = cfg.tracer.StartRequest(ctx, r.Method+" "+r.URL.Path, r.Header.Get("traceparent"))
 			if tp := span.Traceparent(); tp != "" {
 				w.Header().Set("traceparent", tp)
 			}
-			ctx, note = obs.WithRequestNote(ctx)
 		}
 		r = r.WithContext(ctx)
 
@@ -232,12 +231,12 @@ func withObs(next http.Handler, cfg serverConfig) http.Handler {
 			if quiet {
 				return
 			}
-			span.SetAttrs(obs.Int("status", int64(sw.status)))
+			span.SetAttrs(obs.Int("status", int64(sw.status)), obs.String("request_id", id))
 			if sw.status >= 500 {
 				span.SetError(fmt.Errorf("http status %d", sw.status))
 			}
 			// Same clock read as the root span's end: the trace duration and
-			// the ring entry's Elapsed describe the same interval.
+			// the access log's elapsed_ms describe the same interval.
 			span.EndAt(end)
 			if cfg.logger != nil {
 				cfg.logger.Info("request",
@@ -245,11 +244,6 @@ func withObs(next http.Handler, cfg serverConfig) http.Handler {
 					"method", r.Method, "route", r.URL.Path,
 					"status", sw.status, "elapsed_ms", float64(elapsed.Microseconds())/1000)
 			}
-			cfg.ring.Add(obs.TraceEntry{
-				ID: id, TraceID: span.Trace().String(), Route: r.URL.Path, Status: sw.status,
-				Start: start, Elapsed: elapsed,
-				CacheHit: note.CacheHit(),
-			})
 		}()
 		next.ServeHTTP(sw, r)
 	})

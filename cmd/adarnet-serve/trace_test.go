@@ -13,17 +13,17 @@ import (
 	"adarnet/internal/obs"
 )
 
-// traceConfig is testConfig plus a keep-everything tracer and a ring.
+// traceConfig is testConfig plus a keep-everything tracer.
 func traceConfig() serverConfig {
 	cfg := testConfig()
 	cfg.tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	cfg.ring = obs.NewTraceRing(8)
 	return cfg
 }
 
 // TestTraceparentFreshRoot: a request without trace context gets a fresh
 // trace — a well-formed traceparent response header whose trace ID lands in
-// the access log, the trace ring, and the retained trace.
+// the access log and the retained trace, whose root span carries the
+// request ID.
 func TestTraceparentFreshRoot(t *testing.T) {
 	var logged bytes.Buffer
 	cfg := traceConfig()
@@ -50,21 +50,15 @@ func TestTraceparentFreshRoot(t *testing.T) {
 		t.Errorf("access log trace_id = %q, want %q", line.TraceID, trace)
 	}
 
-	entries := cfg.ring.Snapshot()
-	if len(entries) != 1 || entries[0].TraceID != trace.String() {
-		t.Fatalf("ring = %+v, want trace_id %s", entries, trace)
-	}
-	// The stub answers without touching serve internals: no cache hit.
-	if entries[0].CacheHit {
-		t.Error("ring entry claims a cache hit from the stub")
-	}
-
 	recs := cfg.tracer.Trace(trace.String())
 	if len(recs) != 1 || recs[0].Root != "POST /predict" {
 		t.Fatalf("retained trace = %+v", recs)
 	}
 	if got := recs[0].Spans[0].Attrs["status"]; got != int64(200) {
 		t.Errorf("root status attr = %v, want 200", got)
+	}
+	if got, want := recs[0].Spans[0].Attrs["request_id"], rec.Header().Get("X-Request-Id"); got != want {
+		t.Errorf("root request_id attr = %v, want %q", got, want)
 	}
 }
 
@@ -131,18 +125,13 @@ func TestTraceparentMalformedNeverRejects(t *testing.T) {
 // TestTracerOffNoHeader: with no tracer configured the middleware adds no
 // traceparent header and requests still serve.
 func TestTracerOffNoHeader(t *testing.T) {
-	cfg := testConfig()
-	cfg.ring = obs.NewTraceRing(8)
-	mux := newMux(&stubPredictor{inf: stubInference()}, cfg)
+	mux := newMux(&stubPredictor{inf: stubInference()}, testConfig())
 	rec := postPredict(mux, `{"case":"channel"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	if got := rec.Header().Get("traceparent"); got != "" {
 		t.Errorf("traceparent header %q with tracing off", got)
-	}
-	if entries := cfg.ring.Snapshot(); len(entries) != 1 || entries[0].TraceID != "" {
-		t.Errorf("ring entry with tracing off: %+v", entries)
 	}
 }
 

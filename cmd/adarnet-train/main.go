@@ -47,7 +47,7 @@ func main() {
 		// profile streams for that long.
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           obs.DebugMux(obs.Default, nil, nil),
+			Handler:           obs.DebugMux(obs.Default, nil),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {

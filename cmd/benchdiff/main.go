@@ -5,15 +5,15 @@
 // more than -max-regress percent.
 //
 // Metrics are addressed by their flattened JSON path: object keys join with
-// '.', array elements by index — e.g. engine_b8_rps, batches.1.speedup,
-// stages.3.p99_ms. Higher values count as better by default; pass
-// -lower-better for latency-style metrics.
+// '.', array elements by index — e.g. large_speedup,
+// shapes.5.kernels.generic.ns_per_op. Higher values count as better by
+// default; pass -lower-better for latency-style metrics.
 //
 // Usage:
 //
 //	benchdiff old.json new.json
-//	benchdiff -metric engine_b8_rps -max-regress 10 old.json new.json
-//	benchdiff -metric stages.3.p99_ms -lower-better -max-regress 25 old.json new.json
+//	benchdiff -metric large_speedup -max-regress 10 old.json new.json
+//	benchdiff -metric shapes.5.kernels.generic.ns_per_op -lower-better -max-regress 25 old.json new.json
 //
 // Exit status: 0 on success, 1 on regression (or a -metric missing from
 // either file), 2 on usage or read errors.

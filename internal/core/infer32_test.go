@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"adarnet/internal/geometry"
 	"adarnet/internal/grid"
 	"adarnet/internal/patch"
 	"adarnet/internal/tensor"
@@ -115,9 +116,13 @@ func TestNewModel32Untrained(t *testing.T) {
 // tolerance (DESIGN.md §11). Level agreement is exact here because the
 // scorer's softmax margins dwarf float32 rounding; the field tolerance
 // budgets ~10 fused layers of 1e-4-relative error scaled by each channel's
-// de-normalization span.
+// de-normalization span. The inputs are three fitted synthetic fields plus
+// the paper's seven §5 test geometries at quick scale (16×64).
 func TestModel32MatchesFloat64(t *testing.T) {
-	m, fm, flows := infer32Model(t, 3, 8, 16)
+	m, fm, flows := infer32Model(t, 3, 16, 64)
+	for _, c := range geometry.PaperTestCases(16, 64) {
+		flows = append(flows, c.Build())
+	}
 	const relTol = 2e-3
 	for i, f := range flows {
 		ref := m.Infer(f)

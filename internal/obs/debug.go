@@ -12,8 +12,9 @@ import (
 // DebugMux builds the opt-in diagnostics surface a binary exposes on its
 // -debug-addr: the full net/http/pprof suite (CPU and heap profiles,
 // goroutine dumps, execution traces), expvar, the Prometheus metrics of
-// reg, the last-N-request trace ring as JSON (when ring is non-nil), and
-// the retained span traces (when tracer is non-nil).
+// reg, and the retained span traces (when tracer is non-nil) — the one
+// record of recent requests, each root span carrying its route, status,
+// error and request_id.
 //
 // It is deliberately a separate mux on a separate listener: profiling
 // endpoints can stall a goroutine for the length of a CPU profile and must
@@ -23,26 +24,16 @@ import (
 //
 //	/metrics              Prometheus text exposition of reg
 //	/debug/vars           expvar JSON (includes the "adarnet" metric map)
-//	/debug/requests       trace ring, newest first (404 when no ring)
 //	/debug/traces         retained trace summaries, newest first
 //	                      (?min_ms=N ?err=1 ?limit=N; 404 when no tracer)
 //	/debug/traces/{id}    full span timeline(s) for one trace ID
 //	/debug/pprof/...      index, profile, heap, goroutine, trace, symbol, cmdline
-func DebugMux(reg *Registry, ring *TraceRing, tracer *Tracer) *http.ServeMux {
+func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", reg.Handler())
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
-	if ring != nil {
-		mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				http.Error(w, "GET only", http.StatusMethodNotAllowed)
-				return
-			}
-			writeDebugJSON(w, ring.Snapshot())
-		})
-	}
 	if tracer != nil {
 		mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 			q := r.URL.Query()

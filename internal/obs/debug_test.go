@@ -12,14 +12,12 @@ import (
 )
 
 // TestDebugMux checks every route the opt-in debug listener exposes:
-// the scrape endpoint, expvar, the trace ring as JSON, and pprof's index.
+// the scrape endpoint, expvar and pprof's index.
 func TestDebugMux(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("debug_test_total", "").Inc()
-	ring := NewTraceRing(4)
-	ring.Add(TraceEntry{ID: "dbg-1", Route: "/predict", Status: 200, Start: time.Unix(1, 0), Elapsed: time.Millisecond})
 
-	srv := httptest.NewServer(DebugMux(reg, ring, nil))
+	srv := httptest.NewServer(DebugMux(reg, nil))
 	defer srv.Close()
 	get := func(path string) (*http.Response, string) {
 		resp, err := srv.Client().Get(srv.URL + path)
@@ -40,16 +38,10 @@ func TestDebugMux(t *testing.T) {
 	if resp, body := get("/debug/vars"); resp.StatusCode != 200 || !strings.Contains(body, "adarnet") {
 		t.Errorf("/debug/vars: status=%d missing adarnet map (body %q)", resp.StatusCode, body)
 	}
-	resp, body := get("/debug/requests")
-	if resp.StatusCode != 200 {
-		t.Fatalf("/debug/requests: status=%d", resp.StatusCode)
-	}
-	var entries []TraceEntry
-	if err := json.Unmarshal([]byte(body), &entries); err != nil {
-		t.Fatalf("/debug/requests: not JSON: %v (body %q)", err, body)
-	}
-	if len(entries) != 1 || entries[0].ID != "dbg-1" {
-		t.Errorf("/debug/requests = %+v, want the dbg-1 entry", entries)
+	// The last-N request route is gone: retained span traces are the one
+	// request record.
+	if resp, _ := get("/debug/requests"); resp.StatusCode != 404 {
+		t.Errorf("removed request-ring route: status=%d, want 404", resp.StatusCode)
 	}
 	if resp, body := get("/debug/pprof/"); resp.StatusCode != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: status=%d, index should list profiles", resp.StatusCode)
@@ -71,7 +63,7 @@ func TestDebugTraces(t *testing.T) {
 	_, slow := tracer.StartRequest(context.Background(), "POST /jobs", "")
 	slow.EndAt(slow.start.Add(400 * time.Millisecond))
 
-	srv := httptest.NewServer(DebugMux(nil, nil, tracer))
+	srv := httptest.NewServer(DebugMux(nil, tracer))
 	defer srv.Close()
 	get := func(path string) (int, string) {
 		resp, err := srv.Client().Get(srv.URL + path)

@@ -1,8 +1,8 @@
 // Package obs is the repository's telemetry layer: stdlib-only metrics
 // primitives (atomic counters and gauges, a lock-free log-linear latency
 // histogram), a process-wide Registry with Prometheus text exposition and
-// expvar publication, request-ID propagation through context, a bounded
-// in-process request-trace ring, and a pprof-enabled debug mux.
+// expvar publication, request-ID propagation through context, a span
+// tracer with tail-based retention, and a pprof-enabled debug mux.
 //
 // Design constraints (DESIGN.md §10):
 //

@@ -13,8 +13,8 @@ import (
 // form "prefix-sequence" — an 8-hex-char per-process random prefix (so IDs
 // from different processes or restarts never collide in aggregated logs)
 // and a monotonically increasing sequence number. The ID travels in the
-// request context, so handler logs, engine logs, error paths, and the trace
-// ring all tag the same request with the same ID.
+// request context, so handler logs, engine logs, error paths, and the root
+// span's request_id attribute all tag the same request with the same ID.
 
 var (
 	reqSeq    atomic.Uint64

@@ -1,10 +1,37 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"regexp"
+	"strings"
 	"testing"
 )
+
+func TestRequestIDs(t *testing.T) {
+	a, b := NewRequestID(), NewRequestID()
+	if a == b {
+		t.Errorf("consecutive IDs collide: %q", a)
+	}
+	for _, id := range []string{a, b} {
+		if !strings.Contains(id, "-") || len(id) < 10 {
+			t.Errorf("ID %q does not look like prefix-sequence", id)
+		}
+	}
+}
+
+func TestRequestIDContext(t *testing.T) {
+	ctx := WithRequestID(context.Background(), "req-42")
+	if got := RequestIDFrom(ctx); got != "req-42" {
+		t.Errorf("RequestIDFrom = %q, want req-42", got)
+	}
+	if got := RequestIDFrom(context.Background()); got != "" {
+		t.Errorf("ID from clean context = %q, want empty", got)
+	}
+	if got := RequestIDFrom(nil); got != "" { //nolint:staticcheck // nil-safety is the contract under test
+		t.Errorf("ID from nil context = %q, want empty", got)
+	}
+}
 
 func TestNewReqPrefixEntropyPath(t *testing.T) {
 	read := func(b []byte) (int, error) {

@@ -68,6 +68,36 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: the middleware parses this header from every
+// request, so no input may panic, and whatever is accepted must carry
+// non-zero IDs and survive a format → parse round trip unchanged.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // valid
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",       // uppercase
+		"00-00000000000000000000000000000000-0000000000000000-00",       // all zero
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // version ff
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // future version
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		trace, parent, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if trace.IsZero() || parent.IsZero() {
+			t.Fatalf("%q accepted with a zero ID", h)
+		}
+		out := FormatTraceparent(trace, parent, sampled)
+		gt, gp, gs, gok := ParseTraceparent(out)
+		if !gok || gt != trace || gp != parent || gs != sampled {
+			t.Fatalf("%q → %q re-parsed as (%s, %s, %v, %v), want (%s, %s, %v, true)",
+				h, out, gt, gp, gs, gok, trace, parent, sampled)
+		}
+	})
+}
+
 func TestNewIDsUniqueAndNonZero(t *testing.T) {
 	seen := make(map[TraceID]bool)
 	for i := 0; i < 1000; i++ {

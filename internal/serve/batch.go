@@ -44,8 +44,8 @@ func (e *Engine) runGroup(reqs []*request) {
 
 // logPanic emits a structured ERROR record for a contained panic, tagged
 // with the request IDs the HTTP boundary propagated via context so the log
-// line joins the per-request access log and the trace ring. Silent when the
-// engine has no logger.
+// line joins the per-request access log and the request's retained trace.
+// Silent when the engine has no logger.
 func (e *Engine) logPanic(stage string, err error, reqs []*request) {
 	if e.logger == nil {
 		return

@@ -487,7 +487,6 @@ func (e *Engine) answer(ctx context.Context, key uint64, id ident,
 		return inf, nil
 	}
 	e.stats.cacheHit.ObserveDuration(d)
-	obs.RequestNoteFrom(ctx).SetCacheHit()
 	if sp.Recording() {
 		e.stats.cacheHitEx.Observe(d.Nanoseconds(), sp.Trace())
 		sp.Child("cache_hit", start, end, obs.String("key", id.space.String()), obs.Bool("negative", err != nil))

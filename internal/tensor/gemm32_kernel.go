@@ -26,7 +26,8 @@ import (
 // so they are NOT bit-identical to generic — they are usually closer to the
 // float64 answer. The audited contract is a 1-ulp-per-accumulation bound
 // against the scalar reference (gemm32_prop_test.go) plus the end-to-end
-// range-relative-error + exact-argmax audit (`adarnet-bench -exp infer32`).
+// range-relative-error + exact-argmax audit on the paper geometries
+// (`internal/core` TestModel32MatchesFloat64).
 //
 // A PackedMat32 records the kernel that packed it, because the panel layout
 // is geometry-specific; SetGemm32Kernel therefore only affects matrices
